@@ -17,7 +17,7 @@ import glob
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -131,23 +131,32 @@ def apply_labels(configs: list[LandmarkConfiguration], labels: dict[str, str]) -
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "out": str,
-    "data": str,
-    "labels": str,
-    "pipelines": str,
-    "classifiers": str,
-    "threads": int,
-    "n_reps": int,
-    "specimen": int,
-    "svg": lambda s: s.lower() in ("1", "true", "yes"),
-    "n_points": int,
-    "n_basis": int,
-    "variance_threshold": float,
-    "alpha_soft": float,
-    "lambda_soft": float,
-    "m_target": int,
+def _parse_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+_ALL = ("simulate", "run", "classify", "report")
+_FIT = ("run", "classify")
+
+# Config-file key -> (parser, subcommands that take it as a --flag, help).
+# Each key is also the flag's name, with "-" for "_"; order is --help order.
+_OPTIONS = {
+    "seed": (int, _ALL, None),
+    "out": (str, _ALL, "output directory"),
+    "threads": (int, _ALL, "worker threads (results independent of count)"),
+    "n_reps": (int, ("simulate",), None),
+    "data": (str, _FIT, "CSV file(s), directory, or glob; comma-separated"),
+    "labels": (str, _FIT, "specimen_id,label CSV joined onto the data"),
+    "pipelines": (str, _FIT, "comma-separated pipeline ids or 'all'"),
+    "classifiers": (str, ("classify",), "comma-separated: lda,multinomial,svm or 'all'"),
+    "specimen": (int, ("run",), "specimen index for reconstruction tables"),
+    "svg": (_parse_bool, ("classify",), "emit best-pair scatter SVGs"),
+    "n_points": (int, ("simulate", "run", "classify"), None),
+    "n_basis": (int, _FIT, None),
+    "variance_threshold": (float, _FIT, None),
+    "alpha_soft": (float, _FIT, None),
+    "lambda_soft": (float, _FIT, None),
+    "m_target": (int, _FIT, None),
 }
 
 
@@ -163,10 +172,10 @@ def read_config_file(path: str) -> dict:
                     raise InputError(f"{path}:{lineno}: expected key=value")
                 key, _, raw = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_KEYS[key](raw.strip())
+                    values[key] = _OPTIONS[key][0](raw.strip())
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -176,10 +185,10 @@ def read_config_file(path: str) -> dict:
 
 def _merged(args: argparse.Namespace) -> dict:
     """Config-file values overridden by any flag given on the command line."""
-    values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _CONFIG_KEYS:
+    values = read_config_file(args.config) if args.config else {}
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             values[key] = flag
     values.setdefault("seed", 0)
     values.setdefault("threads", 1)
@@ -187,33 +196,29 @@ def _merged(args: argparse.Namespace) -> dict:
 
 
 def settings_from(values: dict) -> PipelineSettings:
-    kwargs = {
-        k: values[k]
-        for k in ("n_points", "n_basis", "variance_threshold", "alpha_soft", "lambda_soft", "m_target")
-        if k in values
-    }
-    return PipelineSettings(**kwargs)
+    names = [f.name for f in fields(PipelineSettings)]
+    return PipelineSettings(**{k: values[k] for k in names if k in values})
 
 
-def _resolve_pipelines(values: dict) -> list[str]:
-    raw = values.get("pipelines", "all")
+def _resolve_names(values: dict, key: str, valid: tuple[str, ...], canonical) -> list[str]:
+    """The comma-separated names under ``key`` through ``canonical``; 'all' (the default) gives ``valid``."""
+    raw = values.get(key, "all")
     if raw.strip().lower() == "all":
-        return list(PIPELINE_IDS)
+        return list(valid)
     try:
-        return [canonical_pipeline_id(p) for p in raw.split(",") if p.strip()]
+        names = [canonical(name.strip()) for name in raw.split(",") if name.strip()]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _resolve_classifiers(values: dict) -> list[str]:
-    raw = values.get("classifiers", "all")
-    if raw.strip().lower() == "all":
-        return list(CLASSIFIER_NAMES)
-    names = [c.strip().lower() for c in raw.split(",") if c.strip()]
-    for name in names:
-        if name not in CLASSIFIER_NAMES:
-            raise InputError(f"unknown classifier {name!r}; valid: {', '.join(CLASSIFIER_NAMES)}")
+    if not names:
+        raise InputError(f"no {key} in {raw!r}; valid: {', '.join(valid)} or 'all'")
     return names
+
+
+def _canonical_classifier(name: str) -> str:
+    name = name.lower()
+    if name not in CLASSIFIER_NAMES:
+        raise ValueError(f"unknown classifier {name!r}; valid: {', '.join(CLASSIFIER_NAMES)}")
+    return name
 
 
 def _resolve_data(values: dict) -> list[Path]:
@@ -316,7 +321,7 @@ def cmd_run(args) -> int:
     values = _merged(args)
     out = _out_dir(values)
     settings = settings_from(values)
-    pipelines = _resolve_pipelines(values)
+    pipelines = _resolve_names(values, "pipelines", PIPELINE_IDS, canonical_pipeline_id)
     replicates = _load_replicates(values)
     specimen_idx = values.get("specimen", 0)
     threads = values["threads"]
@@ -445,8 +450,8 @@ def cmd_classify(args) -> int:
     values = _merged(args)
     out = _out_dir(values)
     settings = settings_from(values)
-    pipelines = _resolve_pipelines(values)
-    classifiers = _resolve_classifiers(values)
+    pipelines = _resolve_names(values, "pipelines", PIPELINE_IDS, canonical_pipeline_id)
+    classifiers = _resolve_names(values, "classifiers", CLASSIFIER_NAMES, _canonical_classifier)
     replicates = _load_replicates(values)
     seed = values["seed"]
     threads = values["threads"]
@@ -488,7 +493,7 @@ def cmd_classify(args) -> int:
         write_csv(out / "cv_summary.csv", ["pipeline", "classifier", "mean_accuracy", "sd_accuracy"], summary)
         outputs += ["cv_report.csv", "cv_summary.csv"]
 
-    if values.get("svg") and not isinstance(results.get(tasks[0][:3]), Exception):
+    if values.get("svg"):
         rep_name, configs = replicates[0]
         labels = np.array([c.label for c in configs])
         for pid in pipelines:
@@ -558,55 +563,29 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (results independent of count)")
-
-
-def _add_settings(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-points", dest="n_points", type=int, default=None)
-    parser.add_argument("--n-basis", dest="n_basis", type=int, default=None)
-    parser.add_argument("--variance-threshold", dest="variance_threshold", type=float, default=None)
-    parser.add_argument("--alpha-soft", dest="alpha_soft", type=float, default=None)
-    parser.add_argument("--lambda-soft", dest="lambda_soft", type=float, default=None)
-    parser.add_argument("--m-target", dest="m_target", type=int, default=None)
+_COMMANDS = {
+    "simulate": (cmd_simulate, "generate helix simulation replicates as landmark CSVs"),
+    "run": (cmd_run, "run pipelines over replicate datasets"),
+    "classify": (cmd_classify, "cross-validated classification per pipeline"),
+    "report": (cmd_report, "print a summary of a results directory"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="curvemorph", description="Morphometric pipelines for 3D landmark curves")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate helix simulation replicates as landmark CSVs")
-    _add_common(p_sim)
-    p_sim.add_argument("--n-reps", dest="n_reps", type=int, default=None)
-    p_sim.add_argument("--n-points", dest="n_points", type=int, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_run = sub.add_parser("run", help="run pipelines over replicate datasets")
-    _add_common(p_run)
-    p_run.add_argument("--data", default=None, help="CSV file(s), directory, or glob; comma-separated")
-    p_run.add_argument("--labels", default=None, help="specimen_id,label CSV joined onto the data")
-    p_run.add_argument("--pipelines", default=None, help="comma-separated pipeline ids or 'all'")
-    p_run.add_argument("--specimen", type=int, default=None, help="specimen index for reconstruction tables")
-    _add_settings(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_cls = sub.add_parser("classify", help="cross-validated classification per pipeline")
-    _add_common(p_cls)
-    p_cls.add_argument("--data", default=None)
-    p_cls.add_argument("--labels", default=None)
-    p_cls.add_argument("--pipelines", default=None)
-    p_cls.add_argument("--classifiers", default=None, help="comma-separated: lda,multinomial,svm or 'all'")
-    p_cls.add_argument("--svg", action="store_true", default=False, help="emit best-pair scatter SVGs")
-    _add_settings(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_rep = sub.add_parser("report", help="print a summary of a results directory")
-    _add_common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
-
+    for command, (func, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for key, (parse, commands, help_text) in _OPTIONS.items():
+            if command not in commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None, help=help_text)
+            else:
+                p.add_argument(flag, dest=key, type=parse, default=None, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,9 +1,10 @@
 """The eight morphometric pipelines: scores, truncated reconstructions, MSE.
 
-Branches share three backbones.  GM-style pipelines run Procrustes alignment
-and classical PCA on flattened coordinates.  FDM-style pipelines smooth each
-coordinate function with a cubic B-spline basis and decompose with
-multivariate FPCA.  Elastic pipelines first register curves to a Karcher
+``CHAINS`` gives each pipeline id its stage choices, and every chain fits
+into the same ``FittedPipeline``.  Chains share three backbones.  GM-style
+pipelines run Procrustes alignment and classical PCA on flattened
+coordinates.  FDM-style pipelines smooth each coordinate function with a
+cubic B-spline basis and decompose with multivariate FPCA.  Elastic pipelines first register curves to a Karcher
 template in square-root velocity space (fully, or softened by an
 identity blend), then feed the aligned amplitude curves through the FDM
 backbone; reconstruction for those runs in SRVF space and maps back by time
@@ -24,20 +25,43 @@ import numpy as np
 from curvemorph.basis import build_basis, evaluate, smooth
 from curvemorph.curvetools import SampledCurve, arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
-from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, centroid_size, gpa, optimal_rotation
+from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, gpa, optimal_rotation
 from curvemorph.pca import PcaModel, flatten_configurations, pca_fit, pca_project, pca_reconstruct
 from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, karcher_mean, rotation_align_srvf, soft_warp, to_srvf, warp_action
 
-PIPELINE_IDS = (
-    "GM",
-    "ArcGM",
-    "FDM",
-    "ArcFDM",
-    "SoftSrvFdm",
-    "ArcSoftSrvFdm",
-    "ElasticSrvFdm",
-    "ArcElasticSrvFdm",
-)
+
+@dataclass(frozen=True)
+class Chain:
+    """Stage choices of one pipeline.
+
+    ``arc`` reparameterises every curve to uniform arc length first.
+    ``backbone`` is "gm" (GPA, then PCA of the coordinates), "fdm" (B-spline
+    smoothing, then MFPCA) or "elastic" (GPA and SRVF registration to a
+    Karcher template, then the FDM stages on the aligned amplitude curves).
+    ``soft`` elastic chains penalise the warp search and blend each warp
+    with the identity.
+    """
+
+    arc: bool
+    backbone: str
+    soft: bool = False
+
+    def warp_penalty_and_blend(self, settings: PipelineSettings) -> tuple[float, float]:
+        """(lam, alpha) of the warp search: soft chains read them from the settings."""
+        return (settings.lambda_soft, settings.alpha_soft) if self.soft else (0.0, 1.0)
+
+
+CHAINS = {
+    "GM": Chain(arc=False, backbone="gm"),
+    "ArcGM": Chain(arc=True, backbone="gm"),
+    "FDM": Chain(arc=False, backbone="fdm"),
+    "ArcFDM": Chain(arc=True, backbone="fdm"),
+    "SoftSrvFdm": Chain(arc=False, backbone="elastic", soft=True),
+    "ArcSoftSrvFdm": Chain(arc=True, backbone="elastic", soft=True),
+    "ElasticSrvFdm": Chain(arc=False, backbone="elastic"),
+    "ArcElasticSrvFdm": Chain(arc=True, backbone="elastic"),
+}
+PIPELINE_IDS = tuple(CHAINS)
 
 _CANONICAL = {pid.lower(): pid for pid in PIPELINE_IDS}
 
@@ -80,7 +104,7 @@ class PipelineOutput:
     mse_per_specimen: np.ndarray
     mse_mean: float
     mse_sd: float
-    fitted: "object" = field(repr=False, default=None)
+    fitted: "FittedPipeline" = field(repr=False, default=None)
 
 
 def superimpose(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -111,9 +135,11 @@ def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray, superimpose_f
     return float(np.mean((original - reconstruction) ** 2))
 
 
-def _guard_variance(pipeline_id: str, eigenvalues: np.ndarray, scale: float) -> None:
-    if float(np.sum(eigenvalues)) <= 1e-20 * max(1.0, scale):
+def _select_k95(pipeline_id: str, eigenvalues: np.ndarray, values: np.ndarray, threshold: float) -> int:
+    """Components reaching the variance threshold, after checking the spectrum carries variance."""
+    if float(np.sum(eigenvalues)) <= 1e-20 * max(1.0, float(np.mean(values**2))):
         raise ValueError(f"{pipeline_id}: no variance")
+    return select_components(eigenvalues, threshold)
 
 
 def _preprocess(config: LandmarkConfiguration, settings: PipelineSettings, arc: bool) -> np.ndarray:
@@ -124,11 +150,6 @@ def _preprocess(config: LandmarkConfiguration, settings: PipelineSettings, arc: 
     if config.points.shape[0] == settings.n_points:
         return config.points.copy()
     return resample_uniform(curve, settings.n_points).values
-
-
-# Warp searches in the elastic chains run on the native lattice; raise for
-# finer warp quantization at roughly quadratic DP cost.
-_DP_REFINE = 1
 
 
 def _registration_basis_size(settings: PipelineSettings, m_in: int) -> int:
@@ -186,126 +207,34 @@ def _smooth_stack(
 
 
 # ---------------------------------------------------------------------------
-# GM backbone
-
-@dataclass
-class GmFit:
-    pipeline_id: str
-    settings: PipelineSettings
-    arc: bool
-    consensus: np.ndarray
-    model: PcaModel
-    eigenvalues: np.ndarray
-    k95: int
-    targets: np.ndarray  # (n, N, 3) preprocessed raw-scale originals
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.model.scores[:, : self.k95]
-
-    def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
-        rows = []
-        for cfg in configs:
-            pts = _preprocess(cfg, self.settings, self.arc)
-            aligned = align_to_reference(pts, self.consensus)
-            rows.append(aligned.reshape(-1))
-        return pca_project(self.model, np.stack(rows))[:, : self.k95]
-
-    def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
-        k = self.k95 if k is None else k
-        recon, _ = pca_reconstruct(self.model, self.model.scores[index], k)
-        return superimpose(recon, self.targets[index])
-
-    def mse_target(self, index: int) -> np.ndarray:
-        return self.targets[index]
-
-
-def _fit_gm(pipeline_id: str, configs: list[LandmarkConfiguration], settings: PipelineSettings, arc: bool) -> GmFit:
-    targets = np.stack([_preprocess(c, settings, arc) for c in configs])
-    shaped = [LandmarkConfiguration(c.specimen_id, targets[i], c.label) for i, c in enumerate(configs)]
-    result = gpa(shaped)
-    flat = flatten_configurations(np.stack([a.points for a in result.aligned]))
-    model = pca_fit(flat)
-    retained = model.eigenvalues[: min(settings.m_target, model.k_max)]
-    _guard_variance(pipeline_id, retained, float(np.mean(flat**2)))
-    k95 = select_components(retained, settings.variance_threshold)
-    return GmFit(pipeline_id, settings, arc, result.consensus, model, retained, k95, targets)
-
-
-# ---------------------------------------------------------------------------
-# FDM backbone
-
-@dataclass
-class FdmFit:
-    pipeline_id: str
-    settings: PipelineSettings
-    arc: bool
-    grid: np.ndarray
-    model: MfpcaModel
-    eigenvalues: np.ndarray
-    k95: int
-    targets: np.ndarray  # (n, M, 3) full-rank functional representations
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.model.scores[:, : self.k95]
-
-    def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
-        pts = [_preprocess(c, self.settings, self.arc) for c in configs]
-        smoothed, _ = _smooth_stack(pts, self.settings, self.grid)
-        blocks = [smoothed[:, :, p] for p in range(3)]
-        return mfpca_project(self.model, blocks)[:, : self.k95]
-
-    def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
-        k = self.k95 if k is None else k
-        recon = mfpca_reconstruct(self.model, self.model.scores[index], k)[0]
-        return superimpose(recon, self.targets[index])
-
-    def mse_target(self, index: int) -> np.ndarray:
-        return self.targets[index]
-
-
-def _fit_fdm(pipeline_id: str, configs: list[LandmarkConfiguration], settings: PipelineSettings, arc: bool) -> FdmFit:
-    grid = uniform_params(settings.n_points)
-    pts = [_preprocess(c, settings, arc) for c in configs]
-    smoothed, noise_covs = _smooth_stack(pts, settings, grid)
-    # The univariate step both corrects the spectrum for smoothing-propagated
-    # measurement noise and downgrades the retained components by the same
-    # cumulative-variance rule used everywhere else.
-    model = _fit_coordinate_mfpca(smoothed, grid, settings.m_target, noise_covs, settings.variance_threshold)
-    _guard_variance(pipeline_id, model.eigenvalues, float(np.mean(smoothed**2)))
-    k95 = select_components(model.eigenvalues, settings.variance_threshold)
-    # The specimen as the model represents it: its full-rank expansion.
-    targets = mfpca_reconstruct(model, model.scores, model.eigenvalues.shape[0])
-    return FdmFit(pipeline_id, settings, arc, grid, model, model.eigenvalues, k95, targets)
-
-
-# ---------------------------------------------------------------------------
-# elastic backbone
+# fitted pipeline
 
 def _recenter(values: np.ndarray) -> np.ndarray:
     return values - values.mean(axis=0)
 
 
 @dataclass
-class ElasticFit:
+class FittedPipeline:
+    """One pipeline fitted on training specimens.
+
+    ``model`` gives the scores and projects held-out specimens; the
+    reconstructions come from ``recon_model``, which is the SRVF-space model
+    in the elastic chains and ``model`` otherwise.
+    """
+
     pipeline_id: str
+    chain: Chain
     settings: PipelineSettings
-    arc: bool
-    lam: float
-    alpha: float
-    consensus: np.ndarray
-    template: SrvfCurve
     grid: np.ndarray
-    model: MfpcaModel  # amplitude-curve model (classification scores)
-    eigenvalues: np.ndarray
+    model: PcaModel | MfpcaModel
+    eigenvalues: np.ndarray  # retained spectrum used for component selection
     k95: int
-    srvf_model: MfpcaModel  # SRVF-space model (reconstruction path)
-    srvf_eigenvalues: np.ndarray
-    srvf_k95: int
-    sizes: np.ndarray  # raw centroid sizes, one per specimen
-    amplitudes: np.ndarray  # (n, M, 3) aligned amplitude curves, unit scale
-    targets: np.ndarray  # smoothed aligned amplitude curves at raw scale
+    recon_model: PcaModel | MfpcaModel
+    recon_k95: int
+    targets: np.ndarray  # (n, N, 3) what each reconstruction is superimposed on and scored against
+    consensus: np.ndarray | None = None  # GPA consensus (GM and elastic chains)
+    template: SrvfCurve | None = None  # Karcher template (elastic chains)
+    sizes: np.ndarray | None = None  # raw centroid sizes (elastic chains)
 
     @property
     def scores(self) -> np.ndarray:
@@ -313,105 +242,119 @@ class ElasticFit:
 
     def _align_amplitude(self, pts: np.ndarray) -> np.ndarray:
         """Register one smoothed unit-size configuration to the trained template."""
+        lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
         k_reg = _registration_basis_size(self.settings, pts.shape[0])
         smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
         q = to_srvf(SampledCurve(self.grid.copy(), smoothed[0]))
         # Two rotation/warp alternations; the second rotation sees
         # warp-corrected correspondence.
         q_rot, _ = rotation_align_srvf(q, self.template)
-        warp = estimate_warp(self.template, q_rot, self.lam, refine=_DP_REFINE)
+        warp = estimate_warp(self.template, q_rot, lam)
         _, r = rotation_align_srvf(warp_action(q_rot, warp), self.template)
         q_rot = SrvfCurve(q_rot.params, q_rot.q @ r)
-        warp = estimate_warp(self.template, q_rot, self.lam, refine=_DP_REFINE)
-        if self.alpha < 1.0:
-            warp = soft_warp(warp, self.alpha)
+        warp = estimate_warp(self.template, q_rot, lam)
+        if alpha < 1.0:
+            warp = soft_warp(warp, alpha)
         aligned = warp_action(q_rot, warp)
         return _recenter(from_srvf(aligned, np.zeros(3)).values)
 
     def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
-        amps = []
-        for cfg in configs:
-            pts = _preprocess(cfg, self.settings, self.arc)
-            aligned_pts = align_to_reference(pts, self.consensus)
-            amps.append(self._align_amplitude(aligned_pts))
-        smoothed, _ = _smooth_stack(amps, self.settings, self.grid)
+        """Scores of held-out specimens through the trained transforms, without refitting."""
+        pts = [_preprocess(c, self.settings, self.chain.arc) for c in configs]
+        if self.consensus is not None:
+            pts = [align_to_reference(p, self.consensus) for p in pts]
+        if self.chain.backbone == "gm":
+            return pca_project(self.model, np.stack([p.reshape(-1) for p in pts]))[:, : self.k95]
+        if self.chain.backbone == "elastic":
+            pts = [self._align_amplitude(p) for p in pts]
+        smoothed, _ = _smooth_stack(pts, self.settings, self.grid)
         blocks = [smoothed[:, :, p] for p in range(3)]
         return mfpca_project(self.model, blocks)[:, : self.k95]
 
-    def _integrate_q(self, q_values: np.ndarray, index: int) -> np.ndarray:
-        curve = from_srvf(SrvfCurve(self.grid.copy(), q_values), np.zeros(3))
-        return _recenter(curve.values) * self.sizes[index]
-
     def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
-        k = self.srvf_k95 if k is None else k
-        q_hat = mfpca_reconstruct(self.srvf_model, self.srvf_model.scores[index], k)[0]
-        return superimpose(self._integrate_q(q_hat, index), self.targets[index])
+        """Rank-k reconstruction of training specimen ``index``, superimposed on its target."""
+        k = self.recon_k95 if k is None else k
+        if self.chain.backbone == "gm":
+            recon, _ = pca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
+        else:
+            recon = mfpca_reconstruct(self.recon_model, self.recon_model.scores[index], k)[0]
+        if self.chain.backbone == "elastic":
+            curve = from_srvf(SrvfCurve(self.grid.copy(), recon), np.zeros(3))
+            recon = _recenter(curve.values) * self.sizes[index]
+        return superimpose(recon, self.targets[index])
 
     def mse_target(self, index: int) -> np.ndarray:
         return self.targets[index]
 
 
-def _fit_elastic(
-    pipeline_id: str,
-    configs: list[LandmarkConfiguration],
-    settings: PipelineSettings,
-    arc: bool,
-    lam: float,
-    alpha: float,
-) -> ElasticFit:
-    pts = [_preprocess(c, settings, arc) for c in configs]
-    shaped = [LandmarkConfiguration(c.specimen_id, pts[i], c.label) for i, c in enumerate(configs)]
-    result = gpa(shaped)
+def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
+    targets = np.stack([_preprocess(c, settings, chain.arc) for c in configs])
+    result = gpa([LandmarkConfiguration(c.specimen_id, p, c.label) for c, p in zip(configs, targets)])
+    flat = flatten_configurations(np.stack([a.points for a in result.aligned]))
+    model = pca_fit(flat)
+    retained = model.eigenvalues[: min(settings.m_target, model.k_max)]
+    k95 = _select_k95(pipeline_id, retained, flat, settings.variance_threshold)
+    grid = uniform_params(settings.n_points)
+    return FittedPipeline(
+        pipeline_id, chain, settings, grid, model, retained, k95, model, k95, targets, consensus=result.consensus
+    )
+
+
+def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
+    grid = uniform_params(settings.n_points)
+    pts = [_preprocess(c, settings, chain.arc) for c in configs]
+    smoothed, noise_covs = _smooth_stack(pts, settings, grid)
+    # The univariate step both corrects the spectrum for smoothing-propagated
+    # measurement noise and downgrades the retained components by the same
+    # cumulative-variance rule used everywhere else.
+    model = _fit_coordinate_mfpca(smoothed, grid, settings.m_target, noise_covs, settings.variance_threshold)
+    k95 = _select_k95(pipeline_id, model.eigenvalues, smoothed, settings.variance_threshold)
+    # The specimen as the model represents it: its full-rank expansion.
+    targets = mfpca_reconstruct(model, model.scores, model.eigenvalues.shape[0])
+    return FittedPipeline(pipeline_id, chain, settings, grid, model, model.eigenvalues, k95, model, k95, targets)
+
+
+def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
+    pts = [_preprocess(c, settings, chain.arc) for c in configs]
+    result = gpa([LandmarkConfiguration(c.specimen_id, p, c.label) for c, p in zip(configs, pts)])
     grid = uniform_params(settings.n_points)
     # Smooth before differentiating: SRVFs of raw noisy polylines are
     # noise-dominated and would drive the warp search.
     k_reg = _registration_basis_size(settings, result.aligned[0].n_landmarks)
     smoothed_aligned, _ = _smooth_stack([a.points for a in result.aligned], settings, grid, n_basis=k_reg)
     qs = [to_srvf(SampledCurve(grid.copy(), smoothed_aligned[i])) for i in range(len(configs))]
-    registration = karcher_mean(qs, lam=lam, alpha=alpha, refine=_DP_REFINE)
-
-    amplitudes = np.stack([_recenter(from_srvf(q, np.zeros(3)).values) for q in registration.aligned])
-    sizes = result.centroid_sizes
+    lam, alpha = chain.warp_penalty_and_blend(settings)
+    registration = karcher_mean(qs, lam=lam, alpha=alpha)
+    amplitudes = [_recenter(from_srvf(q, np.zeros(3)).values) for q in registration.aligned]
 
     # Amplitude and SRVF functions carry transformed (non-i.i.d.) noise, so
     # their spectra use the plain estimator.
-    smoothed, _ = _smooth_stack(list(amplitudes), settings, grid)
+    smoothed, _ = _smooth_stack(amplitudes, settings, grid)
     model = _fit_coordinate_mfpca(smoothed, grid, settings.m_target)
-    _guard_variance(pipeline_id, model.eigenvalues, float(np.mean(smoothed**2)))
-    k95 = select_components(model.eigenvalues, settings.variance_threshold)
+    k95 = _select_k95(pipeline_id, model.eigenvalues, smoothed, settings.variance_threshold)
 
     # SRVF-space decomposition for the reconstruction path, built from the
     # same smoothed aligned amplitudes the representation uses.
     q_stack = np.stack([to_srvf(SampledCurve(grid.copy(), smoothed[i])).q for i in range(len(configs))])
     srvf_model = _fit_coordinate_mfpca(q_stack, grid, settings.m_target)
-    _guard_variance(pipeline_id, srvf_model.eigenvalues, float(np.mean(q_stack**2)))
-    srvf_k95 = select_components(srvf_model.eigenvalues, settings.variance_threshold)
+    srvf_k95 = _select_k95(pipeline_id, srvf_model.eigenvalues, q_stack, settings.variance_threshold)
 
-    return ElasticFit(
-        pipeline_id=pipeline_id,
-        settings=settings,
-        arc=arc,
-        lam=lam,
-        alpha=alpha,
+    return FittedPipeline(
+        pipeline_id, chain, settings, grid, model, model.eigenvalues, k95, srvf_model, srvf_k95,
+        targets=smoothed * result.centroid_sizes[:, None, None],
         consensus=result.consensus,
         template=registration.template,
-        grid=grid,
-        model=model,
-        eigenvalues=model.eigenvalues,
-        k95=k95,
-        srvf_model=srvf_model,
-        srvf_eigenvalues=srvf_model.eigenvalues,
-        srvf_k95=srvf_k95,
-        sizes=sizes,
-        amplitudes=amplitudes,
-        targets=smoothed * sizes[:, None, None],
+        sizes=result.centroid_sizes,
     )
+
+
+_FIT_BACKBONE = {"gm": _fit_gm, "fdm": _fit_fdm, "elastic": _fit_elastic}
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-def fit_pipeline(pipeline_id: str, configs: list[LandmarkConfiguration], settings: PipelineSettings | None = None):
+def fit_pipeline(pipeline_id: str, configs: list[LandmarkConfiguration], settings: PipelineSettings | None = None) -> FittedPipeline:
     pipeline_id = canonical_pipeline_id(pipeline_id)
     settings = settings or PipelineSettings()
     if len(configs) < 4:
@@ -420,15 +363,9 @@ def fit_pipeline(pipeline_id: str, configs: list[LandmarkConfiguration], setting
     if any(c.n_landmarks != n_landmarks for c in configs):
         raise ValueError(f"{pipeline_id}: landmark counts differ across specimens")
 
-    arc = pipeline_id.startswith("Arc")
+    chain = CHAINS[pipeline_id]
     try:
-        if pipeline_id in ("GM", "ArcGM"):
-            return _fit_gm(pipeline_id, configs, settings, arc)
-        if pipeline_id in ("FDM", "ArcFDM"):
-            return _fit_fdm(pipeline_id, configs, settings, arc)
-        if pipeline_id in ("ElasticSrvFdm", "ArcElasticSrvFdm"):
-            return _fit_elastic(pipeline_id, configs, settings, arc, lam=0.0, alpha=1.0)
-        return _fit_elastic(pipeline_id, configs, settings, arc, lam=settings.lambda_soft, alpha=settings.alpha_soft)
+        return _FIT_BACKBONE[chain.backbone](pipeline_id, chain, configs, settings)
     except ValueError as exc:
         if str(exc).startswith(pipeline_id):
             raise

@@ -181,22 +181,13 @@ def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: floa
     return costs
 
 
-def _upsample(q: SrvfCurve, grid: np.ndarray) -> SrvfCurve:
-    values = np.column_stack([np.interp(grid, q.params, q.q[:, j]) for j in range(3)])
-    return SrvfCurve(grid, values)
-
-
-def estimate_warp(
-    q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0, refine: int = 1
-) -> WarpingFunction:
+def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) -> WarpingFunction:
     """Warp gamma* approximately minimizing |q_target - warp_action(q_source, gamma)|^2.
 
     Dynamic programming over the full M x M lattice with local slopes
     restricted to [1/4, 4]; the penalty lam * integral (sqrt(gamma') - 1)^2
-    discourages departures from the identity.  ``refine`` > 1 runs the same
-    search on a linearly upsampled grid and samples the warp back, shrinking
-    the lattice quantization of gamma.  Falls back to the identity warp
-    whenever it scores no worse than the DP optimum, so alignment never
+    discourages departures from the identity.  Falls back to the identity
+    warp whenever it scores no worse than the DP optimum, so alignment never
     increases the realized distance.
     """
     m = q_target.n_samples
@@ -204,14 +195,7 @@ def estimate_warp(
         raise ValueError("SRVFs must share a grid")
     if m < 5:
         raise ValueError("grid too small for warp estimation")
-    if refine > 1:
-        fine_grid = uniform_params((m - 1) * refine + 1)
-        fine = _dp_warp(_upsample(q_target, fine_grid), _upsample(q_source, fine_grid), lam)
-        gamma = np.interp(q_target.params, fine_grid, fine.gamma)
-        gamma[0], gamma[-1] = 0.0, 1.0
-        warp = WarpingFunction(q_target.params.copy(), gamma)
-    else:
-        warp = _dp_warp(q_target, q_source, lam)
+    warp = _dp_warp(q_target, q_source, lam)
 
     # Realized-objective guard: never do worse than not warping at all.
     t = q_target.params
@@ -295,8 +279,6 @@ def karcher_mean(
     lam: float = 0.0,
     alpha: float = 1.0,
     rotate: bool = True,
-    center_warps: bool = True,
-    refine: int = 1,
 ) -> KarcherResult:
     """Elastic Karcher mean by alternating alignment and averaging.
 
@@ -306,9 +288,9 @@ def karcher_mean(
     Iteration stops at ``tol`` template change, ``max_iter``, or as soon as
     the total aligned variance would increase.
 
-    The template is only defined up to a common reparameterisation;
-    ``center_warps`` fixes that gauge by composing everything with the
-    inverse of the mean warp, so the warps average to the identity.
+    The template is only defined up to a common reparameterisation; the
+    result fixes that gauge by composing everything with the inverse of the
+    mean warp, so the warps average to the identity.
     """
     if len(qs) < 2:
         raise ValueError("karcher_mean needs at least 2 curves")
@@ -327,7 +309,7 @@ def karcher_mean(
                 q_rot = SrvfCurve(q.params.copy(), q.q @ r)
             else:
                 q_rot, r = q, np.eye(3)
-            warp = estimate_warp(template, q_rot, lam, refine=refine)
+            warp = estimate_warp(template, q_rot, lam)
             if alpha < 1.0:
                 warp = soft_warp(warp, alpha)
             aligned.append(warp_action(q_rot, warp))
@@ -364,7 +346,7 @@ def karcher_mean(
     aligned, warps, rotations = state
 
     mean_gamma = np.mean([w.gamma for w in warps], axis=0)
-    if center_warps and np.max(np.abs(mean_gamma - t)) > 1e-12:
+    if np.max(np.abs(mean_gamma - t)) > 1e-12:
         correction = invert_warp(WarpingFunction(t, mean_gamma))
         warps = [
             WarpingFunction(t, np.interp(correction.gamma, t, w.gamma)) for w in warps

@@ -211,6 +211,38 @@ class TestClassify:
         assert svg.is_file() and svg.read_text().startswith("<svg")
         assert (out / "pc_pairs_FDM.csv").is_file()
 
+    def test_svg_survives_a_failed_first_task(self, tmp_path):
+        # LDA fails on the 2-specimen class; the SVGs need only a refit per pipeline.
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(2, 6, 6, 6), n_points=15))
+        out = tmp_path / "o"
+        code = main(
+            [
+                "classify", "--data", str(data), "--out", str(out),
+                "--pipelines", "GM,FDM", "--classifiers", "lda,svm", "--svg",
+            ]
+        )
+        assert code == 4
+        assert (out / "pc_pairs_GM.svg").is_file() and (out / "pc_pairs_FDM.svg").is_file()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "--pipelines", ","], ["classify", "--pipelines", ",", "--svg"], ["classify", "--classifiers", ","]],
+    )
+    def test_empty_name_list_is_an_input_error(self, tmp_path, capsys, args):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=3, sizes=(3, 3, 3, 3), n_points=10))
+        assert main(args + ["--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_spaces_around_names_are_ignored(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=3, sizes=(3, 3, 3, 3), n_points=10))
+        out = tmp_path / "o"
+        assert main(["run", "--data", str(data), "--out", str(out), "--pipelines", "GM, FDM", "--n-points", "10"]) == 0
+        with open(out / "mse.csv") as fh:
+            assert [r["pipeline"] for r in csv.DictReader(fh)] == ["GM", "FDM"]
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

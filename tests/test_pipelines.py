@@ -43,6 +43,18 @@ class TestIdsAndSettings:
             fit_pipeline("GM", configs)
 
 
+class TestChains:
+    def test_soft_chain_reads_alpha_and_lambda_from_settings(self):
+        data = phase_family(n=8, m=40, spread=0.4)
+        elastic = run_pipeline("ElasticSrvFdm", data, PipelineSettings(n_points=40))
+        soft = run_pipeline("SoftSrvFdm", data, PipelineSettings(n_points=40, alpha_soft=1.0, lambda_soft=0.0))
+        assert np.array_equal(soft.scores, elastic.scores)
+        assert np.array_equal(soft.fitted.transform(data), elastic.fitted.transform(data))
+        assert soft.mse_mean == elastic.mse_mean
+        default_soft = run_pipeline("SoftSrvFdm", data, PipelineSettings(n_points=40))
+        assert not np.array_equal(default_soft.scores, elastic.scores)
+
+
 class TestRunPipeline:
     def test_no_variance_error(self):
         pts = phase_family(n=1)[0].points
