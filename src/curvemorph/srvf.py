@@ -9,6 +9,7 @@ slope-constrained lattice of grid-node pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,9 @@ _DP_STEPS = [
     if 0.25 <= dj / di <= 4.0
 ]
 _DP_STEPS.sort(key=lambda s: (s != (1, 1), s))  # identity step first so ties prefer it
+_DP_DI = np.array([di for di, _ in _DP_STEPS])
+_DP_DJ = np.array([dj for _, dj in _DP_STEPS])
+_DP_DEPTH = int(_DP_DI.max())
 
 
 @dataclass
@@ -127,57 +131,76 @@ def soft_warp(gamma: WarpingFunction, alpha: float) -> WarpingFunction:
     return WarpingFunction(gamma.params, blended)
 
 
-def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: float) -> list[np.ndarray]:
-    """Per-step matrices C[i, j] = cost of the lattice edge ending at node (i, j).
+@functools.lru_cache(maxsize=8)
+def _edge_tables(m: int) -> tuple[np.ndarray, ...]:
+    """Gather tables that stack the quadrature rows of every lattice edge.
+
+    The edge of step k = (di, dj) ending at node (i, j) spans rows
+    r = 0..di.  Row r samples q_target at node i - di + r and q_source at
+    the fractional node j - dj + s * r (slope s = dj / di), interpolated
+    linearly between nodes lo and hi = lo + 1.  Rows past di get zero
+    weight.  Node indices are clipped to the grid; they leave it only at
+    cells i < di or j < dj, which the DP never reads, and where the weight
+    is 0 (rows past di, and hi when the position falls on a node).
+
+    Returns flat indices into a raveled (m, 3) array, ``idx_t``, ``idx_lo``
+    and ``idx_hi`` of shape (n_steps, m, 3 * (depth + 1)), and the matching
+    weights ``w_t``, ``w_lo`` and ``w_hi`` of shape (n_steps, 1, 3 * (depth + 1)):
+    the square-rooted trapezoid weight sqrt(w_r) on the target side and
+    sqrt(w_r * s) split by the interpolation fraction on the source side.
+    All are read-only.
+    """
+    r = np.arange(_DP_DEPTH + 1)
+    di, dj = _DP_DI[:, None], _DP_DJ[:, None]
+    slope = dj / di
+    pos = slope * r
+    off = np.floor(pos + 1e-12).astype(np.intp)
+    frac = pos - off
+    frac[frac < 1e-12] = 0.0
+    weights = np.where((r == 0) | (r == di), 0.5, 1.0) * (r <= di)
+    w_s = np.sqrt(weights * slope)
+    nodes = np.arange(m)[None, :, None]
+    rows_t = np.clip(nodes - di[:, :, None] + r, 0, m - 1)
+    lo = np.clip(nodes - dj[:, :, None] + off[:, None, :], 0, m - 1)
+    hi = np.minimum(lo + 1, m - 1)
+    xyz = np.arange(3)
+
+    def flat_index(rows):
+        return (3 * rows[..., None] + xyz).reshape(*rows.shape[:2], -1)
+
+    def per_row(w):
+        return np.repeat(w, 3, axis=1)[:, None, :]
+
+    tables = (
+        flat_index(rows_t), flat_index(lo), flat_index(hi),
+        per_row(np.sqrt(weights)), per_row((1.0 - frac) * w_s), per_row(frac * w_s),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: float) -> np.ndarray:
+    """Stacked costs C[k, i, j] of the lattice edge of step k ending at node (i, j).
 
     The edge from (i - di, j - dj) is a linear warp segment of slope
     s = dj / di; its cost is the trapezoid quadrature of
     |q_target(t) - sqrt(s) * q_source(gamma(t))|^2 over the segment plus the
-    roughness penalty lam * (sqrt(s) - 1)^2 * di * dt.
+    roughness penalty lam * (sqrt(s) - 1)^2 * di * dt.  Scaling each
+    quadrature row by its square-rooted weight makes that sum one squared
+    distance |a_k[i] - b_k[j]|^2 between stacked 3 (depth + 1)-vectors, so
+    every step comes from one batched matrix product.
     """
-    m = q_target.shape[0]
-    nt2 = np.sum(q_target**2, axis=1)
-    # Cross terms q_target[m'] . q_source(l + f) cached per fractional offset f.
-    frac_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def cross_for(frac: float) -> tuple[np.ndarray, np.ndarray]:
-        if frac not in frac_cache:
-            if frac == 0.0:
-                s_interp = q_source
-            else:
-                s_interp = (1.0 - frac) * q_source[:-1] + frac * q_source[1:]
-            frac_cache[frac] = (q_target @ s_interp.T, np.sum(s_interp**2, axis=1))
-        return frac_cache[frac]
-
-    costs = []
-    for di, dj in _DP_STEPS:
-        slope = dj / di
-        sqrt_s = np.sqrt(slope)
-        c = np.zeros((m, m))
-        # Trapezoid weights over the di + 1 rows the edge spans.
-        weights = np.full(di + 1, dt)
-        weights[0] = weights[-1] = 0.5 * dt
-        for r in range(di + 1):
-            pos = slope * r
-            off = int(np.floor(pos + 1e-12))
-            frac = pos - off
-            if frac < 1e-12:
-                frac = 0.0
-            cross, ns2 = cross_for(frac)
-            # G[m', l] = |q_t[m'] - sqrt(s) q_s[l + frac]|^2 evaluated at
-            # m' = i - di + r, l = j - dj + off, realised via array shifts.
-            rows = slice(r, m - di + r)
-            lim = cross.shape[1]
-            cols = slice(off, min(lim, m - dj + off))
-            block = (
-                nt2[rows, None]
-                + slope * ns2[None, cols]
-                - 2.0 * sqrt_s * cross[rows, cols]
-            )
-            width = block.shape[1]
-            c[di:, dj : dj + width] += weights[r] * block
-        c += lam * (sqrt_s - 1.0) ** 2 * (di * dt)
-        costs.append(c)
+    idx_t, idx_lo, idx_hi, w_t, w_lo, w_hi = _edge_tables(q_target.shape[0])
+    q_t, q_s = q_target.ravel(), q_source.ravel()
+    a = q_t[idx_t] * w_t
+    b = q_s[idx_lo] * w_lo + q_s[idx_hi] * w_hi
+    costs = np.matmul(a, b.transpose(0, 2, 1))
+    costs *= -2.0
+    costs += np.einsum("kir,kir->ki", a, a)[:, :, None]
+    costs += np.einsum("kjr,kjr->kj", b, b)[:, None, :]
+    costs *= dt
+    costs += (lam * (np.sqrt(_DP_DJ / _DP_DI) - 1.0) ** 2 * (_DP_DI * dt))[:, None, None]
     return costs
 
 
@@ -213,25 +236,36 @@ def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) ->
 
 def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFunction:
     """Single-grid DP over the slope-constrained node lattice."""
-    m = q_target.n_samples
     t = q_target.params
     dt = float(t[1] - t[0])
-    costs = _edge_costs(q_target.q, q_source.q, dt, lam)
+    path_i, path_j = _dp_path(_edge_costs(q_target.q, q_source.q, dt, lam))
+    gamma = np.interp(t, t[path_i], t[path_j])
+    gamma[0], gamma[-1] = 0.0, 1.0
+    return WarpingFunction(t.copy(), gamma)
 
-    inf = np.inf
-    dist = np.full((m, m), inf)
-    dist[0, 0] = 0.0
-    best_step = np.zeros((m, m), dtype=np.int8)
-    n_steps = len(_DP_STEPS)
-    cand = np.empty((n_steps, m))
+
+def _dp_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
+    """Cheapest node path from (0, 0) to (m-1, m-1) given stacked edge costs (n_steps, m, m).
+
+    ``dist`` is padded with inf by the deepest step, so each lattice row takes
+    one gather of every predecessor ``dist[i - di, j - dj]``; edges that leave
+    the grid read inf and never win.  Ties go to the earliest step.
+    """
+    m = costs.shape[1]
+    pad = _DP_DEPTH
+    width = m + pad
+    dist = np.full((width, width), np.inf)  # node (i, j) at (pad + i, pad + j)
+    dist[pad, pad] = 0.0
+    flat = dist.reshape(-1)
+    cols = np.arange(m)
+    # Flat index of dist[i - di, j - dj] at row i = 0, per column and step.
+    pred = (pad - _DP_DI) * width + (pad - _DP_DJ) + cols[:, None]
+    best_step = np.zeros((m, m), dtype=np.intp)
     for i in range(1, m):
-        cand.fill(inf)
-        for k, (di, dj) in enumerate(_DP_STEPS):
-            if di > i:
-                continue
-            cand[k, dj:] = dist[i - di, : m - dj] + costs[k][i, dj:]
-        best_step[i] = np.argmin(cand, axis=0)
-        dist[i] = cand[best_step[i], np.arange(m)]
+        cand = flat[pred + i * width]
+        cand += costs[:, i, :].T
+        best_step[i] = np.argmin(cand, axis=1)
+        dist[pad + i, pad:] = cand[cols, best_step[i]]
 
     # Backtrack the node path from (m-1, m-1).
     path_i, path_j = [m - 1], [m - 1]
@@ -243,9 +277,7 @@ def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFun
         path_j.append(j)
     path_i.reverse()
     path_j.reverse()
-    gamma = np.interp(t, t[path_i], t[path_j])
-    gamma[0], gamma[-1] = 0.0, 1.0
-    return WarpingFunction(t.copy(), gamma)
+    return path_i, path_j
 
 
 def rotation_align_srvf(q: SrvfCurve, template: SrvfCurve) -> tuple[SrvfCurve, np.ndarray]:

@@ -128,6 +128,16 @@ class TestRun:
         assert len(rows) == 20
         assert set(rows[0]) == {"landmark_index", "orig_x", "orig_y", "orig_z", "recon_x", "recon_y", "recon_z"}
 
+    def test_elastic_chains_run_on_a_five_point_grid(self, tmp_path):
+        data = tmp_path / "replicate_000.csv"
+        write_dataset(data, small_dataset(sizes=(4, 4, 4, 4), n_points=12))
+        out = tmp_path / "out"
+        args = ["run", "--data", str(data), "--out", str(out), "--pipelines", "ElasticSrvFdm,SoftSrvFdm",
+                "--n-points", "5", "--n-basis", "4"]
+        assert main(args) == 0
+        with open(out / "mse.csv") as fh:
+            assert [r["pipeline"] for r in csv.DictReader(fh)] == ["ElasticSrvFdm", "SoftSrvFdm"]
+
     def test_manifest_lists_outputs(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert "mse.csv" in manifest["outputs"]

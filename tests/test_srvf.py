@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
+from curvemorph import srvf
 from curvemorph.curvetools import SampledCurve, uniform_params
 from curvemorph.srvf import (
+    _DP_STEPS,
     SrvfCurve,
     WarpingFunction,
     elastic_distance_sq,
@@ -152,6 +156,140 @@ class TestEstimateWarp:
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="grid too small"):
             estimate_warp(smooth_random_q(4, 0), smooth_random_q(4, 1))
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_smallest_grids(self, m):
+        for seed in range(4):
+            q1, q2 = smooth_random_q(m, seed), smooth_random_q(m, seed + 10)
+            warp = estimate_warp(q1, q2, lam=0.01)
+            assert np.all(np.diff(warp.gamma) > 0)
+            assert elastic_distance_sq(q1, warp_action(q2, warp)) <= elastic_distance_sq(q1, q2) + 1e-12
+
+
+# The loop kernels that the stacked ones replaced, kept verbatim as oracles.
+def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: float) -> list[np.ndarray]:
+    """Per-step matrices C[i, j] = cost of the lattice edge ending at node (i, j).
+
+    The edge from (i - di, j - dj) is a linear warp segment of slope
+    s = dj / di; its cost is the trapezoid quadrature of
+    |q_target(t) - sqrt(s) * q_source(gamma(t))|^2 over the segment plus the
+    roughness penalty lam * (sqrt(s) - 1)^2 * di * dt.
+    """
+    m = q_target.shape[0]
+    nt2 = np.sum(q_target**2, axis=1)
+    # Cross terms q_target[m'] . q_source(l + f) cached per fractional offset f.
+    frac_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def cross_for(frac: float) -> tuple[np.ndarray, np.ndarray]:
+        if frac not in frac_cache:
+            if frac == 0.0:
+                s_interp = q_source
+            else:
+                s_interp = (1.0 - frac) * q_source[:-1] + frac * q_source[1:]
+            frac_cache[frac] = (q_target @ s_interp.T, np.sum(s_interp**2, axis=1))
+        return frac_cache[frac]
+
+    costs = []
+    for di, dj in _DP_STEPS:
+        slope = dj / di
+        sqrt_s = np.sqrt(slope)
+        c = np.zeros((m, m))
+        # Trapezoid weights over the di + 1 rows the edge spans.
+        weights = np.full(di + 1, dt)
+        weights[0] = weights[-1] = 0.5 * dt
+        for r in range(di + 1):
+            pos = slope * r
+            off = int(np.floor(pos + 1e-12))
+            frac = pos - off
+            if frac < 1e-12:
+                frac = 0.0
+            cross, ns2 = cross_for(frac)
+            # G[m', l] = |q_t[m'] - sqrt(s) q_s[l + frac]|^2 evaluated at
+            # m' = i - di + r, l = j - dj + off, realised via array shifts.
+            rows = slice(r, m - di + r)
+            lim = cross.shape[1]
+            cols = slice(off, min(lim, m - dj + off))
+            block = (
+                nt2[rows, None]
+                + slope * ns2[None, cols]
+                - 2.0 * sqrt_s * cross[rows, cols]
+            )
+            width = block.shape[1]
+            c[di:, dj : dj + width] += weights[r] * block
+        c += lam * (sqrt_s - 1.0) ** 2 * (di * dt)
+        costs.append(c)
+    return costs
+
+
+def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFunction:
+    """Single-grid DP over the slope-constrained node lattice."""
+    m = q_target.n_samples
+    t = q_target.params
+    dt = float(t[1] - t[0])
+    costs = _edge_costs(q_target.q, q_source.q, dt, lam)
+
+    inf = np.inf
+    dist = np.full((m, m), inf)
+    dist[0, 0] = 0.0
+    best_step = np.zeros((m, m), dtype=np.int8)
+    n_steps = len(_DP_STEPS)
+    cand = np.empty((n_steps, m))
+    for i in range(1, m):
+        cand.fill(inf)
+        for k, (di, dj) in enumerate(_DP_STEPS):
+            if di > i:
+                continue
+            cand[k, dj:] = dist[i - di, : m - dj] + costs[k][i, dj:]
+        best_step[i] = np.argmin(cand, axis=0)
+        dist[i] = cand[best_step[i], np.arange(m)]
+
+    # Backtrack the node path from (m-1, m-1).
+    path_i, path_j = [m - 1], [m - 1]
+    i, j = m - 1, m - 1
+    while i > 0:
+        di, dj = _DP_STEPS[best_step[i, j]]
+        i, j = i - di, j - dj
+        path_i.append(i)
+        path_j.append(j)
+    path_i.reverse()
+    path_j.reverse()
+    gamma = np.interp(t, t[path_i], t[path_j])
+    gamma[0], gamma[-1] = 0.0, 1.0
+    return WarpingFunction(t.copy(), gamma)
+
+
+class TestStackedKernelsMatchLoopOracle:
+    """Stacked edge costs and the row-gather recursion against the loop kernels."""
+
+    @given(
+        st.integers(min_value=6, max_value=80),
+        st.sampled_from([0.0, 0.01, 1.0]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_costs_paths_and_warps(self, m, lam, seed):
+        q_target, q_source = smooth_random_q(m, seed), smooth_random_q(m, seed + 1)
+        t = q_target.params
+        dt = float(t[1] - t[0])
+        oracle = np.stack(_edge_costs(q_target.q, q_source.q, dt, lam))
+        stacked = srvf._edge_costs(q_target.q, q_source.q, dt, lam)
+        assert stacked.shape == oracle.shape
+        # Only cells i >= di, j >= dj are edges inside the grid; the DP reads no other.
+        for k, (di, dj) in enumerate(_DP_STEPS):
+            valid_oracle, valid = oracle[k, di:, dj:], stacked[k, di:, dj:]
+            if valid.size:
+                assert np.max(np.abs(valid - valid_oracle)) <= 1e-12 * np.max(np.abs(valid_oracle))
+
+        # The recursion is exact: on the oracle's costs it retraces the oracle's path.
+        path_i, path_j = srvf._dp_path(oracle)
+        gamma = np.interp(t, t[path_i], t[path_j])
+        gamma[0], gamma[-1] = 0.0, 1.0
+        assert np.array_equal(gamma, _dp_warp(q_target, q_source, lam).gamma)
+
+        warp = estimate_warp(q_target, q_source, lam)
+        with mock.patch.object(srvf, "_dp_warp", _dp_warp):
+            oracle_warp = estimate_warp(q_target, q_source, lam)
+        assert np.max(np.abs(warp.gamma - oracle_warp.gamma)) <= 1e-12
 
 
 class TestSoftWarp:
