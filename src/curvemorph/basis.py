@@ -52,14 +52,23 @@ def build_basis(n_basis: int = 10, order: int = 4) -> BSplineBasis:
     return BSplineBasis(order=order, n_basis=n_basis, knots=knots)
 
 
-def smooth(curve: SampledCurve, basis: BSplineBasis) -> FunctionalObject:
-    """Per-coordinate ordinary least-squares fit of the basis to the samples."""
-    if curve.n_samples < basis.n_basis:
+def fit_coefficients(design: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ordinary least-squares coefficients of ``design`` for each column of ``values``.
+
+    Rejects fewer samples than basis functions and designs whose singular
+    values span more than 1e12.
+    """
+    if design.shape[0] < design.shape[1]:
         raise ValueError("underdetermined smoothing")
-    design = basis.design_matrix(curve.params)
-    coef, _, _, sing = np.linalg.lstsq(design, curve.values, rcond=None)
+    coef, _, _, sing = np.linalg.lstsq(design, values, rcond=None)
     if sing[-1] <= 0 or sing[0] / sing[-1] > 1e12:
         raise ValueError("ill-conditioned smoothing design")
+    return coef
+
+
+def smooth(curve: SampledCurve, basis: BSplineBasis) -> FunctionalObject:
+    """Per-coordinate ordinary least-squares fit of the basis to the samples."""
+    coef = fit_coefficients(basis.design_matrix(curve.params), curve.values)
     return FunctionalObject(basis=basis, coefficients=coef)
 
 

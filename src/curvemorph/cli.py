@@ -116,7 +116,14 @@ def read_labels_csv(path: Path) -> dict[str, str]:
             header = next(reader, None)
             if header != ["specimen_id", "label"]:
                 raise InputError(f"{path}: expected header specimen_id,label")
-            return {row[0]: row[1] for row in reader if row}
+            labels = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise InputError(f"{path}:{lineno}: expected 2 fields")
+                labels[row[0]] = row[1]
+            return labels
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -197,7 +204,10 @@ def _merged(args: argparse.Namespace) -> dict:
 
 def settings_from(values: dict) -> PipelineSettings:
     names = [f.name for f in fields(PipelineSettings)]
-    return PipelineSettings(**{k: values[k] for k in names if k in values})
+    try:
+        return PipelineSettings(**{k: values[k] for k in names if k in values})
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _resolve_names(values: dict, key: str, valid: tuple[str, ...], canonical) -> list[str]:
@@ -368,7 +378,7 @@ def cmd_run(args) -> int:
         output = results[(rep_name, pid)]
         if not isinstance(output, Exception) and 0 <= specimen_idx < len(configs):
             cfg = configs[specimen_idx]
-            target = output.fitted.mse_target(specimen_idx)
+            target = output.fitted.targets[specimen_idx]
             recon = output.reconstructions[specimen_idx]
             rows = [
                 [i, *target[i], *recon[i]]

@@ -18,11 +18,12 @@ relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from curvemorph.basis import build_basis, evaluate, smooth
+from curvemorph.basis import build_basis, fit_coefficients
 from curvemorph.curvetools import SampledCurve, arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
 from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, gpa, optimal_rotation
@@ -143,13 +144,28 @@ def _select_k95(pipeline_id: str, eigenvalues: np.ndarray, values: np.ndarray, t
 
 
 def _preprocess(config: LandmarkConfiguration, settings: PipelineSettings, arc: bool) -> np.ndarray:
-    """Common-grid point matrix for one specimen: resampled or arc-reparameterised."""
-    curve = curve_from_points(config.points)
+    """Common-grid point matrix for one specimen: resampled or arc-reparameterised.
+
+    Computed once per process for each distinct specimen and grid, and
+    shared read-only by every fold, classifier and pipeline that asks.
+    """
+    return _grid_points(config.points.tobytes(), config.n_landmarks, settings.n_points, arc)
+
+
+@functools.lru_cache(maxsize=1024)
+def _grid_points(points_bytes: bytes, n_landmarks: int, n_points: int, arc: bool) -> np.ndarray:
+    """``_preprocess`` keyed on the specimen's coordinate bytes; the result is read-only."""
+    # A view of the immutable key bytes: read-only, and returned as is when
+    # the specimen already has n_points landmarks.
+    points = np.frombuffer(points_bytes).reshape(n_landmarks, 3)
     if arc:
-        return arclength_reparameterise(curve, settings.n_points).values
-    if config.points.shape[0] == settings.n_points:
-        return config.points.copy()
-    return resample_uniform(curve, settings.n_points).values
+        values = arclength_reparameterise(curve_from_points(points), n_points).values
+    elif n_landmarks == n_points:
+        return points
+    else:
+        values = resample_uniform(curve_from_points(points), n_points).values
+    values.flags.writeable = False
+    return values
 
 
 def _registration_basis_size(settings: PipelineSettings, m_in: int) -> int:
@@ -189,21 +205,33 @@ def _smooth_stack(
     residuals; zero when the fit is saturated), used to keep noise out of
     downstream eigen-spectra.
     """
-    basis = build_basis(n_basis if n_basis is not None else settings.n_basis)
+    k = n_basis if n_basis is not None else settings.n_basis
     m_in = points_stack[0].shape[0]
+    design_in, design_out = _smoothing_designs(k, m_in, grid.tobytes())
     smoothed, rss = [], np.zeros(3)
     for pts in points_stack:
-        fobj = smooth(curve_from_points(pts), basis)
-        smoothed.append(evaluate(fobj, grid))
-        fitted_at_input = evaluate(fobj, uniform_params(m_in))
-        rss += np.sum((pts - fitted_at_input) ** 2, axis=0)
-    dof = len(points_stack) * (m_in - basis.n_basis)
+        coef = fit_coefficients(design_in, pts)
+        smoothed.append(design_out @ coef)
+        rss += np.sum((pts - design_in @ coef) ** 2, axis=0)
+    dof = len(points_stack) * (m_in - k)
     sigma2 = rss / dof if dof > 0 else np.zeros(3)
-    design_in = basis.design_matrix(uniform_params(m_in))
-    design_out = basis.design_matrix(grid)
     propagate = design_out @ np.linalg.solve(design_in.T @ design_in, design_out.T)
     noise_covs = [s2 * propagate for s2 in sigma2]
     return np.stack(smoothed), noise_covs
+
+
+@functools.lru_cache(maxsize=16)
+def _smoothing_designs(n_basis: int, m_in: int, grid_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """B-spline design matrices at ``uniform_params(m_in)`` and at the grid, read-only.
+
+    Every curve of a stack sits on the same input parameters and is
+    evaluated on the same grid, so one pair serves the whole stack.
+    """
+    basis = build_basis(n_basis)
+    designs = basis.design_matrix(uniform_params(m_in)), basis.design_matrix(np.frombuffer(grid_bytes))
+    for design in designs:
+        design.flags.writeable = False
+    return designs
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +310,6 @@ class FittedPipeline:
             curve = from_srvf(SrvfCurve(self.grid.copy(), recon), np.zeros(3))
             recon = _recenter(curve.values) * self.sizes[index]
         return superimpose(recon, self.targets[index])
-
-    def mse_target(self, index: int) -> np.ndarray:
-        return self.targets[index]
 
 
 def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
@@ -381,7 +406,7 @@ def run_pipeline(
     fitted = fit_pipeline(pipeline_id, dataset, settings)
     n = len(dataset)
     recons = np.stack([fitted.reconstruct(i) for i in range(n)])
-    mse = np.array([evaluate_mse(fitted.mse_target(i), recons[i], superimpose_first=False) for i in range(n)])
+    mse = np.array([evaluate_mse(fitted.targets[i], recons[i], superimpose_first=False) for i in range(n)])
     return PipelineOutput(
         pipeline_id=fitted.pipeline_id,
         scores=fitted.scores,

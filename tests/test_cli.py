@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curvemorph import pipelines
 from curvemorph.cli import main, read_landmark_csv, write_landmark_csv
 from curvemorph.simgen import SimConfig, generate_replicate
 
@@ -161,6 +163,61 @@ class TestThreadDeterminism:
             outs.append(hash_dir_csvs(out))
         assert outs[0] == outs[1]
 
+    def test_shared_preprocess_cache_under_concurrent_workers(self, tmp_path):
+        # Both arc pipelines ask for the same specimens at once, so with an
+        # empty cache the workers race on every entry.
+        data = tmp_path / "replicate_000.csv"
+        write_dataset(data, small_dataset(seed=10, sizes=(4, 4, 4, 4), n_points=15))
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "3"):
+                pipelines._grid_points.cache_clear()
+                out = tmp_path / f"t{threads}"
+                args = ["run", "--data", str(data), "--out", str(out), "--seed", "0",
+                        "--n-points", "15", "--pipelines", "ArcGM,ArcFDM", "--threads", threads]
+                assert main(args) == 0
+                outs.append(hash_dir_csvs(out))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def arc_calls(monkeypatch):
+    """Counts arc-length reparameterisations made by the pipelines, from an empty cache."""
+    calls = []
+    real = pipelines.arclength_reparameterise
+
+    def counted(curve, m):
+        calls.append(m)
+        return real(curve, m)
+
+    pipelines._grid_points.cache_clear()
+    monkeypatch.setattr(pipelines, "arclength_reparameterise", counted)
+    yield calls
+    pipelines._grid_points.cache_clear()
+
+
+class TestPreprocessOnce:
+    def test_classify_reparameterises_each_specimen_once(self, tmp_path, arc_calls):
+        configs = small_dataset(seed=11)
+        data = tmp_path / "d.csv"
+        write_dataset(data, configs)
+        args = ["classify", "--data", str(data), "--out", str(tmp_path / "o"), "--seed", "0",
+                "--pipelines", "ArcFDM", "--classifiers", "lda,multinomial,svm", "--svg"]
+        assert main(args) == 0
+        assert len(arc_calls) == len(configs)
+
+    def test_run_shares_the_arc_step_across_pipelines(self, tmp_path, arc_calls):
+        configs = small_dataset(seed=11)
+        data = tmp_path / "d.csv"
+        write_dataset(data, configs)
+        args = ["run", "--data", str(data), "--out", str(tmp_path / "o"), "--pipelines", "ArcGM,ArcFDM"]
+        assert main(args) == 0
+        assert len(arc_calls) == len(configs)
+
 
 @pytest.fixture(scope="module")
 def classify_dir(tmp_path_factory):
@@ -205,6 +262,16 @@ class TestClassify:
         assert code == 2
         err = capsys.readouterr().err
         assert configs[-1].specimen_id in err
+
+    def test_short_label_row_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        configs = small_dataset(seed=3, sizes=(3, 3, 3, 3), n_points=10)
+        write_dataset(data, configs)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"specimen_id,label\n{configs[0].specimen_id}\n")
+        code = main(["classify", "--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{labels}:2: expected 2 fields" in capsys.readouterr().err
 
     def test_svg_emission(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -271,6 +338,21 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus=1\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key,value", [("n_points", "2"), ("variance_threshold", "1.5")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, key, value, source):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=3, sizes=(3, 3, 3, 3), n_points=10))
+        args = ["run", "--data", str(data), "--out", str(tmp_path / "o"), "--pipelines", "GM"]
+        if source == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_report_prints_tables(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from curvemorph.basis import build_basis, evaluate, smooth
-from curvemorph.curvetools import curve_from_points
+from curvemorph.curvetools import arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import (
+    _preprocess,
+    _smooth_stack,
     PIPELINE_IDS,
     PipelineSettings,
     canonical_pipeline_id,
@@ -93,7 +95,7 @@ class TestReconstruction:
         fitted = out.fitted
         for i in range(4):
             recon = fitted.reconstruct(i, fitted.model.k_max)
-            assert evaluate_mse(fitted.mse_target(i), recon, superimpose_first=False) < 1e-6
+            assert evaluate_mse(fitted.targets[i], recon, superimpose_first=False) < 1e-6
 
     def test_fdm_full_rank_reproduces_processed(self):
         data = phase_family(n=8)
@@ -127,7 +129,7 @@ class TestReconstruction:
             k_max = fitted.model.k_max if pid == "GM" else fitted.model.eigenvalues.shape[0]
             for i in (0, 3):
                 errors = [
-                    evaluate_mse(fitted.mse_target(i), fitted.reconstruct(i, k), superimpose_first=False)
+                    evaluate_mse(fitted.targets[i], fitted.reconstruct(i, k), superimpose_first=False)
                     for k in range(k_max + 1)
                 ]
                 for a, b in zip(errors, errors[1:]):
@@ -195,3 +197,81 @@ class TestPipelineInvariances:
         base = run_pipeline("ElasticSrvFdm", separated_mode_family(), settings)
         warped = run_pipeline("ElasticSrvFdm", separated_mode_family(warp_seed=99), settings)
         assert score_rel(base.scores, warped.scores) < 0.05
+
+
+def _smooth_stack_loop(points_stack, settings, grid, n_basis=None):
+    """Reference: the per-curve smooth/evaluate loop ``_smooth_stack`` replaced."""
+    basis = build_basis(n_basis if n_basis is not None else settings.n_basis)
+    m_in = points_stack[0].shape[0]
+    smoothed, rss = [], np.zeros(3)
+    for pts in points_stack:
+        fobj = smooth(curve_from_points(pts), basis)
+        smoothed.append(evaluate(fobj, grid))
+        fitted_at_input = evaluate(fobj, uniform_params(m_in))
+        rss += np.sum((pts - fitted_at_input) ** 2, axis=0)
+    dof = len(points_stack) * (m_in - basis.n_basis)
+    sigma2 = rss / dof if dof > 0 else np.zeros(3)
+    design_in = basis.design_matrix(uniform_params(m_in))
+    design_out = basis.design_matrix(grid)
+    propagate = design_out @ np.linalg.solve(design_in.T @ design_in, design_out.T)
+    noise_covs = [s2 * propagate for s2 in sigma2]
+    return np.stack(smoothed), noise_covs
+
+
+def _noisy_curves(n, m, seed):
+    rng = np.random.default_rng(seed)
+    t = uniform_params(m)[:, None]
+    freq = rng.uniform(1.0, 3.0, size=(n, 1, 3))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1, 3))
+    return list(np.sin(freq * 2.0 * np.pi * t + phase) + rng.normal(scale=0.05, size=(n, m, 3)))
+
+
+class TestSmoothStackMatchesLoopOracle:
+    @pytest.mark.parametrize("m_in", [12, 30, 48])
+    @pytest.mark.parametrize("n_basis", [4, 10, 20])
+    def test_smoothed_stack_and_noise_covariances(self, m_in, n_basis):
+        settings = PipelineSettings(n_basis=n_basis)
+        stack = _noisy_curves(7, m_in, seed=m_in + n_basis)
+        for grid in (uniform_params(30), uniform_params(17)):
+            if m_in < n_basis:
+                with pytest.raises(ValueError, match="^underdetermined smoothing$"):
+                    _smooth_stack_loop(stack, settings, grid)
+                with pytest.raises(ValueError, match="^underdetermined smoothing$"):
+                    _smooth_stack(stack, settings, grid)
+                continue
+            expected, expected_covs = _smooth_stack_loop(stack, settings, grid)
+            smoothed, covs = _smooth_stack(stack, settings, grid)
+            assert np.array_equal(smoothed, expected)
+            assert all(np.array_equal(a, b) for a, b in zip(covs, expected_covs))
+            # the registration path passes its own basis size
+            expected, _ = _smooth_stack_loop(stack, settings, grid, n_basis=4)
+            assert np.array_equal(_smooth_stack(stack, settings, grid, n_basis=4)[0], expected)
+
+    def test_ill_conditioned_design_is_rejected(self):
+        # With as many uniform samples as basis functions, the design's
+        # condition number passes 1e12 near 180 functions.
+        settings = PipelineSettings(n_basis=180)
+        stack = _noisy_curves(2, 180, seed=0)
+        for smooth_stack in (_smooth_stack_loop, _smooth_stack):
+            with pytest.raises(ValueError, match="^ill-conditioned smoothing design$"):
+                smooth_stack(stack, settings, uniform_params(30))
+
+
+class TestPreprocessCache:
+    @pytest.mark.parametrize("arc,m", [(True, 40), (False, 40), (False, 25)])
+    def test_cached_points_are_read_only_and_equal_to_a_fresh_computation(self, arc, m):
+        config = phase_family(n=1, m=m, power=2.0)[0]
+        settings = PipelineSettings(n_points=40)
+        cached = _preprocess(config, settings, arc)
+        curve = curve_from_points(config.points)
+        if arc:
+            fresh = arclength_reparameterise(curve, 40).values
+        elif m == 40:
+            fresh = config.points
+        else:
+            fresh = resample_uniform(curve, 40).values
+        assert np.array_equal(cached, fresh)
+        assert not np.shares_memory(cached, config.points)
+        assert _preprocess(config, settings, arc) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
