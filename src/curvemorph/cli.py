@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from curvemorph import __version__
-from curvemorph.classify import CLASSIFIER_NAMES, cross_validate, lda_fit, lda_predict, standardize_apply, standardize_fit, stratified_kfold
+from curvemorph.classify import CLASSIFIER_NAMES, _fit_predict, cross_validate, stratified_kfold
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, canonical_pipeline_id, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
@@ -85,6 +85,8 @@ def read_landmark_csv(path: Path) -> list[LandmarkConfiguration]:
                 if sid not in by_specimen:
                     by_specimen[sid] = (label, [])
                     order.append(sid)
+                elif label != by_specimen[sid][0]:
+                    raise InputError(f"{path}:{lineno}: specimen {sid}: label {label!r} differs from {by_specimen[sid][0]!r}")
                 by_specimen[sid][1].append(entry)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -122,6 +124,8 @@ def read_labels_csv(path: Path) -> dict[str, str]:
                     continue
                 if len(row) != 2:
                     raise InputError(f"{path}:{lineno}: expected 2 fields")
+                if row[0] in labels:
+                    raise InputError(f"{path}:{lineno}: specimen {row[0]} listed twice")
                 labels[row[0]] = row[1]
             return labels
     except OSError as exc:
@@ -281,6 +285,18 @@ def write_manifest(out: Path, command: str, values: dict, outputs: list[str], fa
         fh.write("\n")
 
 
+def _finish(
+    out: Path, command: str, values: dict, outputs: list[str], failures: list[str], wrote: bool, all_failed: str, done: str
+) -> int:
+    """Write the manifest; exit 0 without failures, 4 when some output was written, else 3."""
+    write_manifest(out, command, values, outputs, failures)
+    if failures:
+        print(f"{'partial failure' if wrote else all_failed}:\n  " + "\n  ".join(failures), file=sys.stderr)
+        return 4 if wrote else 3
+    print(done)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -313,18 +329,26 @@ def _load_replicates(values: dict) -> list[tuple[str, list[LandmarkConfiguration
     return replicates
 
 
-def _run_tasks(tasks, worker, threads: int) -> dict:
-    """Evaluate independent tasks, possibly in parallel; results keyed deterministically."""
-    results = {}
+def _run_tasks(tasks, worker, threads: int) -> tuple[dict, list[str]]:
+    """Evaluate independent tasks, possibly in parallel; results keyed deterministically.
+
+    A task whose worker raises ``ValueError`` keeps the exception as its
+    result and is listed in the failures as ``key/parts: message``.
+    """
+
+    def attempt(key):
+        try:
+            return worker(*key)
+        except ValueError as exc:
+            return exc
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {key: pool.submit(worker, *key) for key in tasks}
-            for key in tasks:
-                results[key] = futures[key].result()
+            results = dict(zip(tasks, pool.map(attempt, tasks)))
     else:
-        for key in tasks:
-            results[key] = worker(*key)
-    return results
+        results = {key: attempt(key) for key in tasks}
+    failures = [f"{'/'.join(key)}: {res}" for key, res in results.items() if isinstance(res, Exception)]
+    return results, failures
 
 
 def cmd_run(args) -> int:
@@ -340,13 +364,9 @@ def cmd_run(args) -> int:
     data_by_rep = dict(replicates)
 
     def worker(rep_name, pid):
-        try:
-            return run_pipeline(pid, data_by_rep[rep_name], settings)
-        except ValueError as exc:
-            return exc
+        return run_pipeline(pid, data_by_rep[rep_name], settings)
 
-    results = _run_tasks(tasks, worker, threads)
-    failures = [f"{rep}/{pid}: {res}" for (rep, pid), res in results.items() if isinstance(res, Exception)]
+    results, failures = _run_tasks(tasks, worker, threads)
 
     outputs = []
     k95_rows, mse_rows = [], []
@@ -393,15 +413,8 @@ def cmd_run(args) -> int:
         write_csv(out / "mse.csv", ["pipeline", "mean", "sd"], mse_rows)
         outputs += ["k95.csv", "mse.csv"]
 
-    write_manifest(out, "run", values, outputs, failures)
-    if failures and k95_rows:
-        print("partial failure:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 4
-    if failures:
-        print("all pipelines failed:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 3
-    print(f"wrote results for {len(pipelines)} pipeline(s) to {out}")
-    return 0
+    return _finish(out, "run", values, outputs, failures, bool(k95_rows), "all pipelines failed",
+                   f"wrote results for {len(pipelines)} pipeline(s) to {out}")
 
 
 def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tuple[int, float]:
@@ -416,9 +429,7 @@ def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tu
             if np.unique(labels[tr]).size < 2:
                 continue
             try:
-                std = standardize_fit(pair[tr])
-                model = lda_fit(standardize_apply(std, pair[tr]), labels[tr])
-                pred = lda_predict(model, standardize_apply(std, pair[te]))
+                pred = _fit_predict("lda", pair[tr], labels[tr], pair[te])
                 accs.append(float(np.mean(pred == labels[te])))
             except ValueError:
                 continue
@@ -474,13 +485,9 @@ def cmd_classify(args) -> int:
     data_by_rep = dict(replicates)
 
     def worker(rep_name, pid, clf):
-        try:
-            return cross_validate(data_by_rep[rep_name], pid, clf, k=5, seed=seed, settings=settings)
-        except ValueError as exc:
-            return exc
+        return cross_validate(data_by_rep[rep_name], pid, clf, k=5, seed=seed, settings=settings)
 
-    results = _run_tasks(tasks, worker, threads)
-    failures = [f"{rep}/{pid}/{clf}: {res}" for (rep, pid, clf), res in results.items() if isinstance(res, Exception)]
+    results, failures = _run_tasks(tasks, worker, threads)
 
     rows, summary = [], []
     for pid in pipelines:
@@ -528,15 +535,8 @@ def cmd_classify(args) -> int:
             )
             outputs += [f"pc_pairs_{pid}.csv", f"pc_pairs_{pid}.svg"]
 
-    write_manifest(out, "classify", values, outputs, failures)
-    if failures and rows:
-        print("partial failure:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 4
-    if failures:
-        print("all classification tasks failed:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 3
-    print(f"wrote cross-validation report to {out}")
-    return 0
+    return _finish(out, "classify", values, outputs, failures, bool(rows), "all classification tasks failed",
+                   f"wrote cross-validation report to {out}")
 
 
 def cmd_report(args) -> int:

@@ -50,22 +50,14 @@ def derivative(curve: SampledCurve) -> np.ndarray:
     return np.gradient(curve.values, curve.params, axis=0, edge_order=1)
 
 
-def cumulative_arclength(curve: SampledCurve, method: str = "chord") -> np.ndarray:
-    """Cumulative arc length s with s[0] = 0 and s[-1] = total length.
+def cumulative_arclength(curve: SampledCurve) -> np.ndarray:
+    """Cumulative chord length s with s[0] = 0 and s[-1] = total length.
 
-    ``chord`` sums polyline segment lengths (exact for the piecewise-linear
-    interpretation used throughout); ``derivative`` integrates the speed
-    estimate with the trapezoid rule, preferable only for dense smooth data.
+    Summing polyline segment lengths is exact for the piecewise-linear
+    interpretation used throughout.
     """
-    if method == "chord":
-        seg = np.linalg.norm(np.diff(curve.values, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(seg)])
-    if method == "derivative":
-        speed = np.linalg.norm(derivative(curve), axis=1)
-        dt = np.diff(curve.params)
-        seg = 0.5 * (speed[:-1] + speed[1:]) * dt
-        return np.concatenate([[0.0], np.cumsum(seg)])
-    raise ValueError(f"unknown arc-length method {method!r}")
+    seg = np.linalg.norm(np.diff(curve.values, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(seg)])
 
 
 def _interp_columns(x_new: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -47,12 +47,10 @@ class MfpcaModel:
     """Multivariate FPCA built from three per-coordinate univariate models."""
 
     univariate: list[UnivariateFpcaModel]
-    z_hat: np.ndarray  # (J, J)
     eigenvalues: np.ndarray  # (J_out,)
     eigvecs: np.ndarray  # (J, J_out)
     eigenfunctions: list[np.ndarray]  # per coordinate, (J_out, M)
     scores: np.ndarray  # (n, J_out)
-    j_total: int
 
     @property
     def mean_functions(self) -> np.ndarray:
@@ -142,12 +140,10 @@ def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaM
     scores = xi @ vecs
     return MfpcaModel(
         univariate=list(models),
-        z_hat=z_hat,
         eigenvalues=evals,
         eigvecs=vecs,
         eigenfunctions=eigenfunctions,
         scores=scores,
-        j_total=j_total,
     )
 
 

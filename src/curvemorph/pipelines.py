@@ -28,7 +28,7 @@ from curvemorph.curvetools import SampledCurve, arclength_reparameterise, curve_
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
 from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, gpa, optimal_rotation
 from curvemorph.pca import PcaModel, flatten_configurations, pca_fit, pca_project, pca_reconstruct
-from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, karcher_mean, rotation_align_srvf, soft_warp, to_srvf, warp_action
+from curvemorph.srvf import SrvfCurve, align_step, from_srvf, karcher_mean, to_srvf
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,16 @@ def superimpose(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     return beta * src_c @ r + target.mean(axis=0)
 
 
-def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray, superimpose_first: bool = True) -> float:
-    """Mean squared coordinate difference over all 3N entries.
+def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray) -> float:
+    """Mean squared coordinate difference over all 3N entries, compared in place.
 
-    By default the reconstruction is Procrustes-superimposed (rigid + scale)
-    onto the original first; pass ``superimpose_first=False`` to compare in
-    place.
+    Reconstructions come out of ``FittedPipeline.reconstruct`` already
+    superimposed on their targets; superimpose other inputs first.
     """
     original = np.asarray(original, dtype=float)
     reconstruction = np.asarray(reconstruction, dtype=float)
     if original.shape != reconstruction.shape:
         raise ValueError("shape mismatch")
-    if superimpose_first:
-        reconstruction = superimpose(reconstruction, original)
     return float(np.mean((original - reconstruction) ** 2))
 
 
@@ -274,17 +271,11 @@ class FittedPipeline:
         k_reg = _registration_basis_size(self.settings, pts.shape[0])
         smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
         q = to_srvf(SampledCurve(self.grid.copy(), smoothed[0]))
-        # Two rotation/warp alternations; the second rotation sees
-        # warp-corrected correspondence.
-        q_rot, _ = rotation_align_srvf(q, self.template)
-        warp = estimate_warp(self.template, q_rot, lam)
-        _, r = rotation_align_srvf(warp_action(q_rot, warp), self.template)
-        q_rot = SrvfCurve(q_rot.params, q_rot.q @ r)
-        warp = estimate_warp(self.template, q_rot, lam)
-        if alpha < 1.0:
-            warp = soft_warp(warp, alpha)
-        aligned = warp_action(q_rot, warp)
-        return _recenter(from_srvf(aligned, np.zeros(3)).values)
+        # Two rotation/warp alternations: the second rotation sees the
+        # correspondence of the first, unblended warp.
+        rotated, _, gamma, _ = align_step(q.q, self.template, None, lam, 1.0)
+        _, aligned, _, _ = align_step(rotated, self.template, gamma, lam, alpha)
+        return _recenter(from_srvf(SrvfCurve(self.grid, aligned), np.zeros(3)).values)
 
     def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
         """Scores of held-out specimens through the trained transforms, without refitting."""
@@ -406,7 +397,7 @@ def run_pipeline(
     fitted = fit_pipeline(pipeline_id, dataset, settings)
     n = len(dataset)
     recons = np.stack([fitted.reconstruct(i) for i in range(n)])
-    mse = np.array([evaluate_mse(fitted.targets[i], recons[i], superimpose_first=False) for i in range(n)])
+    mse = np.array([evaluate_mse(fitted.targets[i], recons[i]) for i in range(n)])
     return PipelineOutput(
         pipeline_id=fitted.pipeline_id,
         scores=fitted.scores,
@@ -419,11 +410,3 @@ def run_pipeline(
         fitted=fitted,
     )
 
-
-def reconstruct_specimen(output: PipelineOutput, index: int, k: int | None = None) -> np.ndarray:
-    """Branch-specific truncated reconstruction of one specimen."""
-    if not 0 <= index < output.reconstructions.shape[0]:
-        raise ValueError("specimen index out of range")
-    if k is None:
-        return output.reconstructions[index]
-    return output.fitted.reconstruct(index, k)

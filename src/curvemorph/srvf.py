@@ -113,14 +113,18 @@ def from_srvf(q: SrvfCurve, f0: np.ndarray) -> SampledCurve:
     return SampledCurve(q.params.copy(), values)
 
 
+def _warp_values(t: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(q o g) * sqrt(g') for (M, 3) SRVF values and (M,) warp values on the grid t."""
+    gdot = np.gradient(g, t, edge_order=1)
+    warped = np.column_stack([np.interp(g, t, q[:, j]) for j in range(3)])
+    return warped * np.sqrt(np.maximum(gdot, 0.0))[:, None]
+
+
 def warp_action(q: SrvfCurve, gamma: WarpingFunction) -> SrvfCurve:
     """Group action of a warp on an SRVF: (q o gamma) * sqrt(gamma')."""
     if gamma.gamma.shape[0] != q.n_samples:
         raise ValueError("warp and SRVF must share a grid length")
-    g = gamma.gamma
-    gdot = np.gradient(g, q.params, edge_order=1)
-    warped = np.column_stack([np.interp(g, q.params, q.q[:, j]) for j in range(3)])
-    return SrvfCurve(q.params.copy(), warped * np.sqrt(np.maximum(gdot, 0.0))[:, None])
+    return SrvfCurve(q.params.copy(), _warp_values(q.params, q.q, gamma.gamma))
 
 
 def soft_warp(gamma: WarpingFunction, alpha: float) -> WarpingFunction:
@@ -223,14 +227,13 @@ def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) ->
     # Realized-objective guard: never do worse than not warping at all.
     t = q_target.params
 
-    def objective(w: WarpingFunction) -> float:
-        gdot = np.gradient(w.gamma, t, edge_order=1)
+    def objective(g: np.ndarray) -> float:
+        gdot = np.gradient(g, t, edge_order=1)
         pen = lam * float(np.trapezoid((np.sqrt(np.maximum(gdot, 0.0)) - 1.0) ** 2, t))
-        return elastic_distance_sq(q_target, warp_action(q_source, w)) + pen
+        return _l2_norm_sq(t, q_target.q - _warp_values(q_source.params, q_source.q, g)) + pen
 
-    ident = identity_warp(m)
-    if objective(warp) > objective(ident):
-        return ident
+    if objective(warp.gamma) > objective(uniform_params(m)):
+        return identity_warp(m)
     return warp
 
 
@@ -280,15 +283,44 @@ def _dp_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
     return path_i, path_j
 
 
+def _rotation(q: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Rotation of (M, 3) SRVF values onto a template under the trapezoid-weighted L2 distance."""
+    w = np.full(q.shape[0], 1.0)
+    w[0] = w[-1] = 0.5  # trapezoid weights on the uniform grid
+    sw = np.sqrt(w)[:, None]
+    r, _ = optimal_rotation(q * sw, template * sw)
+    return r
+
+
 def rotation_align_srvf(q: SrvfCurve, template: SrvfCurve) -> tuple[SrvfCurve, np.ndarray]:
     """Rotate an SRVF onto a template, minimizing the quadrature-weighted L2 distance."""
     if q.n_samples != template.n_samples:
         raise ValueError("SRVFs must share a grid")
-    w = np.full(q.n_samples, 1.0)
-    w[0] = w[-1] = 0.5  # trapezoid weights on the uniform grid
-    sw = np.sqrt(w)[:, None]
-    r, _ = optimal_rotation(q.q * sw, template.q * sw)
+    r = _rotation(q.q, template.q)
     return SrvfCurve(q.params.copy(), q.q @ r), r
+
+
+def align_step(
+    q: np.ndarray, template: SrvfCurve, prev: np.ndarray | None, lam: float, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One rotation/warp alternation of (M, 3) SRVF values q on the template's grid.
+
+    The rotation is estimated on q acted on by the previous warp values
+    ``prev`` (on q itself when there are none), so the pointwise
+    correspondence it relies on is warp-corrected.  The warp of the rotated
+    values is then searched by ``estimate_warp`` with penalty ``lam`` and,
+    when ``alpha`` < 1, blended with the identity by ``soft_warp``.
+
+    Returns the rotated values, the rotated values acted on by the warp,
+    the warp values and the rotation.
+    """
+    t = template.params
+    r = _rotation(q if prev is None else _warp_values(t, q, prev), template.q)
+    rotated = q @ r
+    warp = estimate_warp(template, SrvfCurve(t, rotated), lam)
+    if alpha < 1.0:
+        warp = soft_warp(warp, alpha)
+    return rotated, _warp_values(t, rotated, warp.gamma), warp.gamma, r
 
 
 @dataclass
@@ -310,15 +342,14 @@ def karcher_mean(
     tol: float = 1e-6,
     lam: float = 0.0,
     alpha: float = 1.0,
-    rotate: bool = True,
 ) -> KarcherResult:
     """Elastic Karcher mean by alternating alignment and averaging.
 
-    Each iteration rotation-aligns every original SRVF to the current
-    template, estimates its warp (optionally softened by ``alpha``), applies
-    it, and replaces the template with the pointwise mean of the aligned set.
-    Iteration stops at ``tol`` template change, ``max_iter``, or as soon as
-    the total aligned variance would increase.
+    Each iteration runs one ``align_step`` of every original SRVF against
+    the current template, starting from its warp of the previous iteration
+    (the identity at first), and replaces the template with the pointwise
+    mean of the aligned set.  Iteration stops at ``tol`` template change,
+    ``max_iter``, or as soon as the total aligned variance would increase.
 
     The template is only defined up to a common reparameterisation; the
     result fixes that gauge by composing everything with the inverse of the
@@ -326,39 +357,24 @@ def karcher_mean(
     """
     if len(qs) < 2:
         raise ValueError("karcher_mean needs at least 2 curves")
-    m = qs[0].n_samples
-    if any(q.n_samples != m for q in qs):
-        raise ValueError("SRVFs must share a grid")
+    if max_iter < 1:
+        raise ValueError("karcher_mean needs max_iter >= 1")
     t = qs[0].params
+    # One template grid: every curve must sit on exactly the first curve's parameters.
+    if any(not np.array_equal(q.params, t) for q in qs):
+        raise ValueError("SRVFs must share a grid")
+    originals = np.stack([q.q for q in qs])  # (K, M, 3)
 
-    def align_all(template: SrvfCurve, prev_warps: list[WarpingFunction]):
-        aligned, warps, rotations = [], [], []
-        for q, prev in zip(qs, prev_warps):
-            if rotate:
-                # Estimate the rotation on the warp-corrected version so the
-                # pointwise correspondence it relies on is meaningful.
-                _, r = rotation_align_srvf(warp_action(q, prev), template)
-                q_rot = SrvfCurve(q.params.copy(), q.q @ r)
-            else:
-                q_rot, r = q, np.eye(3)
-            warp = estimate_warp(template, q_rot, lam)
-            if alpha < 1.0:
-                warp = soft_warp(warp, alpha)
-            aligned.append(warp_action(q_rot, warp))
-            warps.append(warp)
-            rotations.append(r)
-        return aligned, warps, rotations
-
-    template = SrvfCurve(t.copy(), np.mean([q.q for q in qs], axis=0))
-    state = None
+    template = SrvfCurve(t.copy(), np.mean(originals, axis=0))
     variance_history: list[float] = []
-    current_warps = [identity_warp(m) for _ in qs]
+    current_warps = np.broadcast_to(uniform_params(t.shape[0]), originals.shape[:2])  # identity warps
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        aligned, warps, rotations = align_all(template, current_warps)
-        mean_q = np.mean([a.q for a in aligned], axis=0)
-        variance = sum(_l2_norm_sq(t, a.q - mean_q) for a in aligned)
+        aligned, warps, rotations = np.empty_like(originals), np.empty(originals.shape[:2]), np.empty((len(qs), 3, 3))
+        for k, q in enumerate(originals):
+            _, aligned[k], warps[k], rotations[k] = align_step(q, template, current_warps[k], lam, alpha)
+        mean_q = np.mean(aligned, axis=0)
+        variance = sum(_l2_norm_sq(t, a - mean_q) for a in aligned)
         if variance_history and variance > variance_history[-1] + 1e-12:
             iterations -= 1  # keep the previous, better iterate
             break
@@ -371,18 +387,14 @@ def karcher_mean(
         if change < tol:
             converged = True
             break
-
-    if state is None:  # max_iter == 0 degenerate call
-        state = align_all(template, current_warps)
-        template = SrvfCurve(t.copy(), np.mean([a.q for a in state[0]], axis=0))
     aligned, warps, rotations = state
 
-    mean_gamma = np.mean([w.gamma for w in warps], axis=0)
+    mean_gamma = np.mean(warps, axis=0)
     if np.max(np.abs(mean_gamma - t)) > 1e-12:
-        correction = invert_warp(WarpingFunction(t, mean_gamma))
-        warps = [
-            WarpingFunction(t, np.interp(correction.gamma, t, w.gamma)) for w in warps
-        ]
-        aligned = [warp_action(a, correction) for a in aligned]
-        template = SrvfCurve(t.copy(), np.mean([a.q for a in aligned], axis=0))
-    return KarcherResult(template, aligned, warps, rotations, iterations, converged, variance_history)
+        correction = invert_warp(WarpingFunction(t, mean_gamma)).gamma
+        warps = np.stack([np.interp(correction, t, g) for g in warps])
+        aligned = np.stack([_warp_values(t, a, correction) for a in aligned])
+        template = SrvfCurve(t.copy(), np.mean(aligned, axis=0))
+    aligned = [SrvfCurve(t.copy(), a) for a in aligned]
+    warps = [WarpingFunction(t.copy(), g) for g in warps]
+    return KarcherResult(template, aligned, warps, list(rotations), iterations, converged, variance_history)

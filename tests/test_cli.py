@@ -55,6 +55,45 @@ class TestLandmarkCsv:
         )
         assert main(["run", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_conflicting_labels_of_one_specimen_are_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "specimen_id,label,landmark_index,x,y,z\n"
+            "s0,G1,0,0,0,0\ns0,G2,1,1,1,1\ns0,G2,2,2,2,2\n"
+        )
+        assert main(["run", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}:3: specimen s0: label 'G2' differs from 'G1'" in capsys.readouterr().err
+
+
+class TestExitTail:
+    """Both commands end alike: exit 3 when every task failed, 4 when some output was written."""
+
+    @pytest.mark.parametrize(
+        "command,message", [("run", "all pipelines failed"), ("classify", "all classification tasks failed")]
+    )
+    def test_every_task_failed(self, tmp_path, capsys, command, message):
+        data = tmp_path / "tiny.csv"
+        write_dataset(data, small_dataset(seed=1, sizes=(3, 3, 3, 3), n_points=10)[:3])
+        out = tmp_path / "o"
+        argv = [command, "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]
+        if command == "classify":
+            argv += ["--classifiers", "lda,svm"]
+        assert main(argv) == 3
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        keys = ["tiny/GM", "tiny/FDM"] if command == "run" else ["tiny/GM/lda", "tiny/GM/svm", "tiny/FDM/lda", "tiny/FDM/svm"]
+        assert [f.split(": ", 1)[0] for f in failures] == keys
+        assert capsys.readouterr().err == f"{message}:\n  " + "\n  ".join(failures) + "\n"
+
+    def test_some_task_failed(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_dataset(data / "a.csv", small_dataset(seed=1, sizes=(3, 3, 3, 3), n_points=10)[:3])
+        write_dataset(data / "b.csv", small_dataset(seed=2, n_points=10))
+        out = tmp_path / "o"
+        assert main(["run", "--data", str(data), "--out", str(out), "--pipelines", "GM"]) == 4
+        assert capsys.readouterr().err == "partial failure:\n  a/GM: GM: need at least 4 specimens\n"
+        assert json.loads((out / "manifest.json").read_text())["failures"] == ["a/GM: GM: need at least 4 specimens"]
+
 
 class TestSimulate:
     def test_n_reps_and_determinism(self, tmp_path):
@@ -272,6 +311,17 @@ class TestClassify:
         code = main(["classify", "--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{labels}:2: expected 2 fields" in capsys.readouterr().err
+
+    def test_specimen_labelled_twice_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        configs = small_dataset(seed=3, sizes=(3, 3, 3, 3), n_points=10)
+        write_dataset(data, configs)
+        labels = tmp_path / "labels.csv"
+        rows = [f"{c.specimen_id},x" for c in configs] + [f"{configs[0].specimen_id},y"]
+        labels.write_text("specimen_id,label\n" + "\n".join(rows) + "\n")
+        code = main(["classify", "--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{labels}:{len(configs) + 2}: specimen {configs[0].specimen_id} listed twice" in capsys.readouterr().err
 
     def test_svg_emission(self, tmp_path):
         data = tmp_path / "d.csv"

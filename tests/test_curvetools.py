@@ -57,13 +57,6 @@ class TestCumulativeArclength:
         s = cumulative_arclength(curve)
         assert np.all(np.diff(s) >= 0)
 
-    def test_derivative_mode_close_on_smooth_curve(self):
-        t = uniform_params(400)
-        curve = SampledCurve(t, helix(t))
-        chord = cumulative_arclength(curve)[-1]
-        via_speed = cumulative_arclength(curve, method="derivative")[-1]
-        assert via_speed == pytest.approx(chord, rel=1e-4)
-
     def test_similarity_behavior(self):
         rng = np.random.default_rng(1)
         t = uniform_params(40)

@@ -1,22 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from curvemorph.basis import build_basis, evaluate, smooth
-from curvemorph.curvetools import arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
+from curvemorph.curvetools import SampledCurve, arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import (
     _preprocess,
+    _recenter,
+    _registration_basis_size,
     _smooth_stack,
+    FittedPipeline,
     PIPELINE_IDS,
     PipelineSettings,
     canonical_pipeline_id,
     evaluate_mse,
     fit_pipeline,
-    reconstruct_specimen,
     run_pipeline,
     superimpose,
 )
 from curvemorph.simgen import SimConfig, generate_replicate
+from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, rotation_align_srvf, soft_warp, to_srvf, warp_action
 
 from helpers import phase_family, score_rel, separated_mode_family
 
@@ -95,7 +100,7 @@ class TestReconstruction:
         fitted = out.fitted
         for i in range(4):
             recon = fitted.reconstruct(i, fitted.model.k_max)
-            assert evaluate_mse(fitted.targets[i], recon, superimpose_first=False) < 1e-6
+            assert evaluate_mse(fitted.targets[i], recon) < 1e-6
 
     def test_fdm_full_rank_reproduces_processed(self):
         data = phase_family(n=8)
@@ -114,7 +119,7 @@ class TestReconstruction:
         out = run_pipeline("GM", data)
         recon0 = out.fitted.reconstruct(0, 0)
         mean_shape = out.fitted.model.mean_vector.reshape(-1, 3)
-        assert evaluate_mse(recon0, superimpose(mean_shape, recon0), superimpose_first=False) < 1e-12
+        assert evaluate_mse(recon0, superimpose(mean_shape, recon0)) < 1e-12
 
     def test_elastic_roundtrip_fine_grid(self):
         data = phase_family(n=8, m=150, spread=0.4)
@@ -129,18 +134,11 @@ class TestReconstruction:
             k_max = fitted.model.k_max if pid == "GM" else fitted.model.eigenvalues.shape[0]
             for i in (0, 3):
                 errors = [
-                    evaluate_mse(fitted.targets[i], fitted.reconstruct(i, k), superimpose_first=False)
+                    evaluate_mse(fitted.targets[i], fitted.reconstruct(i, k))
                     for k in range(k_max + 1)
                 ]
                 for a, b in zip(errors, errors[1:]):
                     assert b <= a * (1 + 1e-6) + 1e-12
-
-    def test_reconstruct_specimen_index_check(self):
-        data = phase_family(n=6)
-        out = run_pipeline("GM", data)
-        assert np.array_equal(reconstruct_specimen(out, 2), out.reconstructions[2])
-        with pytest.raises(ValueError, match="index"):
-            reconstruct_specimen(out, 99)
 
 
 class TestEvaluateMse:
@@ -154,12 +152,12 @@ class TestEvaluateMse:
 
         pts = phase_family(n=1)[0].points
         rotated = pts @ special_ortho_group.rvs(3, random_state=rng) + rng.normal(size=3)
-        assert evaluate_mse(pts, rotated) < 1e-10
+        assert evaluate_mse(pts, superimpose(rotated, pts)) < 1e-10
 
     def test_bypass_mode_measures_offset(self):
         pts = phase_family(n=1)[0].points
         eps = 0.01
-        assert evaluate_mse(pts, pts + eps, superimpose_first=False) == pytest.approx(eps**2, rel=1e-12)
+        assert evaluate_mse(pts, pts + eps) == pytest.approx(eps**2, rel=1e-12)
 
     def test_shape_mismatch(self):
         pts = phase_family(n=1)[0].points
@@ -181,6 +179,39 @@ class TestTransformConsistency:
         again = out.fitted.transform(data)
         rel = np.linalg.norm(again - out.scores) / np.linalg.norm(out.scores)
         assert rel < 0.05
+
+
+def _align_amplitude_loop(self, pts: np.ndarray) -> np.ndarray:
+    """Reference: the object-based alternation that two ``align_step`` calls replaced."""
+    lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
+    k_reg = _registration_basis_size(self.settings, pts.shape[0])
+    smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
+    q = to_srvf(SampledCurve(self.grid.copy(), smoothed[0]))
+    # Two rotation/warp alternations; the second rotation sees
+    # warp-corrected correspondence.
+    q_rot, _ = rotation_align_srvf(q, self.template)
+    warp = estimate_warp(self.template, q_rot, lam)
+    _, r = rotation_align_srvf(warp_action(q_rot, warp), self.template)
+    q_rot = SrvfCurve(q_rot.params, q_rot.q @ r)
+    warp = estimate_warp(self.template, q_rot, lam)
+    if alpha < 1.0:
+        warp = soft_warp(warp, alpha)
+    aligned = warp_action(q_rot, warp)
+    return _recenter(from_srvf(aligned, np.zeros(3)).values)
+
+
+class TestHeldOutAlignmentMatchesObjectLoopOracle:
+    @pytest.mark.parametrize("pid", ["SoftSrvFdm", "ElasticSrvFdm"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_transform_of_held_out_specimens(self, pid, seed):
+        data = generate_replicate(SimConfig(group_sizes=(4, 4, 4, 4), seed=seed), 0)
+        train, held_out = data[::4] + data[1::4] + data[2::4], data[3::4]
+        fitted = fit_pipeline(pid, train)
+        scores = fitted.transform(held_out)
+        with mock.patch.object(FittedPipeline, "_align_amplitude", _align_amplitude_loop):
+            expected = fitted.transform(held_out)
+        assert scores.shape == (len(held_out), fitted.k95)
+        assert np.array_equal(scores, expected)
 
 
 class TestPipelineInvariances:

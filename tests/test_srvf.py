@@ -10,6 +10,8 @@ from curvemorph import srvf
 from curvemorph.curvetools import SampledCurve, uniform_params
 from curvemorph.srvf import (
     _DP_STEPS,
+    _l2_norm_sq,
+    KarcherResult,
     SrvfCurve,
     WarpingFunction,
     elastic_distance_sq,
@@ -353,7 +355,7 @@ class TestKarcherMean:
     def test_warped_pair_aligns(self):
         q = smooth_random_q(200, seed=12)
         warped = warp_action(q, bump_warp(200))
-        result = karcher_mean([q, warped], rotate=False)
+        result = karcher_mean([q, warped])
         a, b = result.aligned
         rel = np.sqrt(elastic_distance_sq(a, b) / elastic_distance_sq(q, SrvfCurve(q.params, np.zeros_like(q.q))))
         assert rel < 0.05
@@ -374,6 +376,117 @@ class TestKarcherMean:
         qs = [smooth_random_q(40, seed=70 + i) for i in range(3)]
         result = karcher_mean(qs, max_iter=3)
         assert len(result.aligned) == len(result.warps) == len(result.rotations) == 3
+
+
+def _karcher_mean_loop(
+    qs: list[SrvfCurve],
+    max_iter: int = 20,
+    tol: float = 1e-6,
+    lam: float = 0.0,
+    alpha: float = 1.0,
+    rotate: bool = True,
+) -> KarcherResult:
+    """Reference: the per-specimen object loop that ``align_step`` replaced."""
+    if len(qs) < 2:
+        raise ValueError("karcher_mean needs at least 2 curves")
+    m = qs[0].n_samples
+    if any(q.n_samples != m for q in qs):
+        raise ValueError("SRVFs must share a grid")
+    t = qs[0].params
+
+    def align_all(template: SrvfCurve, prev_warps: list[WarpingFunction]):
+        aligned, warps, rotations = [], [], []
+        for q, prev in zip(qs, prev_warps):
+            if rotate:
+                # Estimate the rotation on the warp-corrected version so the
+                # pointwise correspondence it relies on is meaningful.
+                _, r = rotation_align_srvf(warp_action(q, prev), template)
+                q_rot = SrvfCurve(q.params.copy(), q.q @ r)
+            else:
+                q_rot, r = q, np.eye(3)
+            warp = estimate_warp(template, q_rot, lam)
+            if alpha < 1.0:
+                warp = soft_warp(warp, alpha)
+            aligned.append(warp_action(q_rot, warp))
+            warps.append(warp)
+            rotations.append(r)
+        return aligned, warps, rotations
+
+    template = SrvfCurve(t.copy(), np.mean([q.q for q in qs], axis=0))
+    state = None
+    variance_history: list[float] = []
+    current_warps = [identity_warp(m) for _ in qs]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        aligned, warps, rotations = align_all(template, current_warps)
+        mean_q = np.mean([a.q for a in aligned], axis=0)
+        variance = sum(_l2_norm_sq(t, a.q - mean_q) for a in aligned)
+        if variance_history and variance > variance_history[-1] + 1e-12:
+            iterations -= 1  # keep the previous, better iterate
+            break
+        variance_history.append(variance)
+        current_warps = warps
+        new_template = SrvfCurve(t.copy(), mean_q)
+        change = np.sqrt(_l2_norm_sq(t, new_template.q - template.q))
+        template = new_template
+        state = (aligned, warps, rotations)
+        if change < tol:
+            converged = True
+            break
+
+    if state is None:  # max_iter == 0 degenerate call
+        state = align_all(template, current_warps)
+        template = SrvfCurve(t.copy(), np.mean([a.q for a in state[0]], axis=0))
+    aligned, warps, rotations = state
+
+    mean_gamma = np.mean([w.gamma for w in warps], axis=0)
+    if np.max(np.abs(mean_gamma - t)) > 1e-12:
+        correction = invert_warp(WarpingFunction(t, mean_gamma))
+        warps = [
+            WarpingFunction(t, np.interp(correction.gamma, t, w.gamma)) for w in warps
+        ]
+        aligned = [warp_action(a, correction) for a in aligned]
+        template = SrvfCurve(t.copy(), np.mean([a.q for a in aligned], axis=0))
+    return KarcherResult(template, aligned, warps, rotations, iterations, converged, variance_history)
+
+
+class TestKarcherMatchesObjectLoopOracle:
+    """The array loop over ``align_step`` against the per-specimen object loop, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("m", [6, 30, 61])
+    @pytest.mark.parametrize("lam,alpha", [(0.0, 1.0), (0.01, 0.6)])
+    def test_every_field_equal(self, k, m, lam, alpha):
+        for seed in range(3):
+            qs = [smooth_random_q(m, seed=100 * seed + 10 * k + i) for i in range(k)]
+            result = karcher_mean(qs, lam=lam, alpha=alpha)
+            expected = _karcher_mean_loop(qs, lam=lam, alpha=alpha)
+            assert np.array_equal(result.template.params, expected.template.params)
+            assert np.array_equal(result.template.q, expected.template.q)
+            assert len(result.aligned) == len(result.warps) == len(result.rotations) == k
+            for a, b in zip(result.aligned, expected.aligned):
+                assert np.array_equal(a.params, b.params) and np.array_equal(a.q, b.q)
+            for a, b in zip(result.warps, expected.warps):
+                assert np.array_equal(a.params, b.params) and np.array_equal(a.gamma, b.gamma)
+            for a, b in zip(result.rotations, expected.rotations):
+                assert np.array_equal(a, b)
+            assert result.iterations == expected.iterations
+            assert result.converged == expected.converged
+            assert np.array_equal(result.variance_history, expected.variance_history)
+
+    def test_max_iter_below_one_is_rejected(self):
+        qs = [smooth_random_q(20, seed=i) for i in range(3)]
+        with pytest.raises(ValueError, match="max_iter >= 1"):
+            karcher_mean(qs, max_iter=0)
+
+    def test_curves_off_the_first_grid_are_rejected(self):
+        qs = [smooth_random_q(20, seed=i) for i in range(3)]
+        shifted = qs[2].params.copy()
+        shifted[5] += 1e-12  # still a valid SRVF grid, but not the template's
+        qs[2] = SrvfCurve(shifted, qs[2].q)
+        with pytest.raises(ValueError, match="share a grid"):
+            karcher_mean(qs)
 
 
 class TestWarpingFunctionValidation:
