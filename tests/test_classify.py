@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvemorph import classify
 from curvemorph.classify import (
     _fit_predict,
     cross_validate,
@@ -162,6 +163,84 @@ class TestSvm:
         y = np.repeat(["a", "b", "c"], 20)
         model = svm_linear_fit(x, y)
         assert np.mean(svm_predict(model, x) == y) == 1.0
+
+
+# The numpy-scalar form of `classify._svm_binary`, kept verbatim as its oracle.
+def _svm_binary_loop(x: np.ndarray, y: np.ndarray, c_reg: float, tol: float, max_sweeps: int) -> np.ndarray:
+    """Dual coordinate descent for the L1-loss linear SVM, bias as augmented feature."""
+    xa = np.hstack([x, np.ones((x.shape[0], 1))])
+    n = xa.shape[0]
+    qdiag = np.sum(xa**2, axis=1)
+    alpha = np.zeros(n)
+    w = np.zeros(xa.shape[1])
+    for _ in range(max_sweeps):
+        for i in range(n):
+            g = y[i] * (xa[i] @ w) - 1.0
+            a_new = min(max(alpha[i] - g / qdiag[i], 0.0), c_reg)
+            if a_new != alpha[i]:
+                w += (a_new - alpha[i]) * y[i] * xa[i]
+                alpha[i] = a_new
+        margins = 1.0 - y * (xa @ w)
+        primal = 0.5 * w @ w + c_reg * np.sum(np.maximum(margins, 0.0))
+        dual = np.sum(alpha) - 0.5 * w @ w
+        if primal - dual <= tol * max(1.0, abs(primal)):
+            break
+    return w
+
+
+def binary_svm_data(seed, n, d, separable):
+    """Labels +-1 with both signs present; separable classes sit 3 sd apart, overlapping ones 0.2 sd."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.permutation(n) % 2 == 0, 1.0, -1.0)
+    x = rng.normal(size=(n, d)) + (3.0 if separable else 0.2) * y[:, None]
+    return x, y
+
+
+class TestSvmSweepMatchesLoopOracle:
+    """`_svm_binary` keeps the per-element loop's operations, so its weights are bitwise the oracle's."""
+
+    @pytest.mark.parametrize("d", [1, 6, 30])
+    @pytest.mark.parametrize("n", [2, 7, 40, 125])
+    def test_weights_equal(self, n, d):
+        for seed in (0, 1):
+            for separable in (True, False):
+                x, y = binary_svm_data(seed, n, d, separable)
+                for c_reg in (1.0, 0.05):
+                    for max_sweeps in (1, 3, 1000):
+                        expected = _svm_binary_loop(x, y, c_reg, 1e-6, max_sweeps)
+                        got = classify._svm_binary(x, y, c_reg, 1e-6, max_sweeps)
+                        assert np.array_equal(got, expected), (seed, separable, c_reg, max_sweeps)
+
+    def test_duplicated_row(self):
+        for separable in (True, False):
+            x, y = binary_svm_data(3, 40, 6, separable)
+            x, y = np.vstack([x, x[5:6]]), np.append(y, y[5])
+            for c_reg in (1.0, 0.05):
+                expected = _svm_binary_loop(x, y, c_reg, 1e-6, 1000)
+                assert np.array_equal(classify._svm_binary(x, y, c_reg, 1e-6, 1000), expected)
+
+    def test_pair_weights_equal_in_order(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        centers = rng.normal(scale=1.5, size=(4, 5))
+        x = np.vstack([rng.normal(size=(15, 5)) + c for c in centers])
+        labels = np.repeat(["a", "b", "c", "d"], 15)
+        got = svm_linear_fit(x, labels).pair_weights
+        monkeypatch.setattr(classify, "_svm_binary", _svm_binary_loop)
+        expected = svm_linear_fit(x, labels).pair_weights
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected] == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        ]
+        for (_, _, w_got), (_, _, w_expected) in zip(got, expected):
+            assert np.array_equal(w_got, w_expected)
+
+    @pytest.mark.parametrize("pipeline_id", ["GM", "FDM"])
+    def test_cross_validation_equal(self, pipeline_id, monkeypatch):
+        configs = generate_replicate(SimConfig(seed=11, group_sizes=(6, 6, 6, 6)), 0)
+        got = cross_validate(configs, pipeline_id, "svm")
+        monkeypatch.setattr(classify, "_svm_binary", _svm_binary_loop)
+        expected = cross_validate(configs, pipeline_id, "svm")
+        assert np.array_equal(got.per_fold_accuracy, expected.per_fold_accuracy)
+        assert np.array_equal(got.confusion, expected.confusion)
 
 
 class TestStratifiedKfold:
