@@ -9,12 +9,13 @@ from scipy.interpolate import BSpline
 
 from curvemorph.curvetools import SampledCurve
 
+ORDER = 4  # B-spline order of every basis: cubic
+
 
 @dataclass
 class BSplineBasis:
-    """Open-uniform B-spline basis on [0, 1] (order 4 = cubic)."""
+    """Open-uniform cubic B-spline basis on [0, 1] (order ``ORDER``)."""
 
-    order: int
     n_basis: int
     knots: np.ndarray
 
@@ -24,7 +25,7 @@ class BSplineBasis:
             return np.zeros((0, self.n_basis))
         if np.any(grid < 0.0) or np.any(grid > 1.0):
             raise ValueError("evaluation grid must lie in [0, 1]")
-        return BSpline.design_matrix(grid, self.knots, self.order - 1, extrapolate=False).toarray()
+        return BSpline.design_matrix(grid, self.knots, ORDER - 1, extrapolate=False).toarray()
 
 
 @dataclass
@@ -43,13 +44,13 @@ class FunctionalObject:
         self.coefficients = coef
 
 
-def build_basis(n_basis: int = 10, order: int = 4) -> BSplineBasis:
-    """Open-uniform knots: endpoint multiplicity = order, equally spaced interior knots."""
-    if n_basis < order:
+def build_basis(n_basis: int = 10) -> BSplineBasis:
+    """Open-uniform knots: endpoint multiplicity ``ORDER``, equally spaced interior knots."""
+    if n_basis < ORDER:
         raise ValueError("n_basis must be at least the order")
-    interior = np.linspace(0.0, 1.0, n_basis - order + 2)[1:-1]
-    knots = np.concatenate([np.zeros(order), interior, np.ones(order)])
-    return BSplineBasis(order=order, n_basis=n_basis, knots=knots)
+    interior = np.linspace(0.0, 1.0, n_basis - ORDER + 2)[1:-1]
+    knots = np.concatenate([np.zeros(ORDER), interior, np.ones(ORDER)])
+    return BSplineBasis(n_basis=n_basis, knots=knots)
 
 
 def fit_coefficients(design: np.ndarray, values: np.ndarray) -> np.ndarray:

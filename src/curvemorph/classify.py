@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from curvemorph.landmarks import LandmarkConfiguration
+from curvemorph.pipelines import fit_pipeline
 
 CLASSIFIER_NAMES = ("lda", "multinomial", "svm")
+N_FOLDS = 5  # cross-validation folds, here and in the CLI's best-pair search
+_PENALTY = 1e-6  # L2 penalty on the multinomial weights (intercepts free)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +52,8 @@ class LdaModel:
     intercepts: np.ndarray  # (C,)
 
 
-def lda_fit(scores: np.ndarray, labels: np.ndarray, ridge: float = 1e-8) -> LdaModel:
-    """Pooled-covariance LDA with empirical priors and a small trace ridge."""
+def lda_fit(scores: np.ndarray, labels: np.ndarray) -> LdaModel:
+    """Pooled-covariance LDA with empirical priors and a trace ridge of 1e-8."""
     x = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -68,7 +71,7 @@ def lda_fit(scores: np.ndarray, labels: np.ndarray, ridge: float = 1e-8) -> LdaM
         pooled += (block - means[c]).T @ (block - means[c])
         priors[c] = block.shape[0] / n
     pooled /= n - classes.size
-    pooled += ridge * np.trace(pooled) / k * np.eye(k)
+    pooled += 1e-8 * np.trace(pooled) / k * np.eye(k)
     solved = np.linalg.solve(pooled, means.T).T  # (C, k)
     intercepts = -0.5 * np.sum(solved * means, axis=1) + np.log(priors)
     return LdaModel(classes=classes, coefs=solved, intercepts=intercepts)
@@ -98,29 +101,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def multinomial_objective(weights, intercepts, x, y_onehot, penalty: float = 1e-6) -> float:
-    """Penalized log-likelihood (weights penalized, intercepts free)."""
+def multinomial_objective(weights, intercepts, x, y_onehot) -> float:
+    """Penalized log-likelihood (weights penalized by ``_PENALTY`` = 1e-6, intercepts free)."""
     logits = x @ weights + intercepts
     z = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1))
     loglik = float(np.sum((z * y_onehot).sum(axis=1) - log_norm))
-    return loglik - 0.5 * penalty * float(np.sum(weights**2))
+    return loglik - 0.5 * _PENALTY * float(np.sum(weights**2))
 
 
-def multinomial_gradient(weights, intercepts, x, y_onehot, penalty: float = 1e-6):
+def multinomial_gradient(weights, intercepts, x, y_onehot):
     probs = _softmax(x @ weights + intercepts)
     resid = y_onehot - probs
-    return x.T @ resid - penalty * weights, resid.sum(axis=0)
+    return x.T @ resid - _PENALTY * weights, resid.sum(axis=0)
 
 
-def multinomial_fit(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    penalty: float = 1e-6,
-    max_iter: int = 500,
-    grad_tol: float = 1e-6,
-) -> MultinomialModel:
-    """Full-batch gradient ascent with backtracking line search."""
+def multinomial_fit(scores: np.ndarray, labels: np.ndarray) -> MultinomialModel:
+    """Full-batch gradient ascent with backtracking line search to gradient norm 1e-6, at most 500 steps."""
     x = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -128,21 +125,21 @@ def multinomial_fit(
     weights = np.zeros((x.shape[1], classes.size))
     intercepts = np.zeros(classes.size)
 
-    obj = multinomial_objective(weights, intercepts, x, y_onehot, penalty)
+    obj = multinomial_objective(weights, intercepts, x, y_onehot)
     step = 1.0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        gw, gb = multinomial_gradient(weights, intercepts, x, y_onehot, penalty)
+    for it in range(1, 501):
+        gw, gb = multinomial_gradient(weights, intercepts, x, y_onehot)
         gnorm_sq = float(np.sum(gw**2) + np.sum(gb**2))
-        if np.sqrt(gnorm_sq) <= grad_tol:
+        if np.sqrt(gnorm_sq) <= 1e-6:
             converged = True
             break
         step = min(step * 2.0, 1e6)
         while True:
             w_new = weights + step * gw
             b_new = intercepts + step * gb
-            obj_new = multinomial_objective(w_new, b_new, x, y_onehot, penalty)
+            obj_new = multinomial_objective(w_new, b_new, x, y_onehot)
             if obj_new >= obj + 0.5 * step * gnorm_sq or step < 1e-16:
                 break
             step *= 0.5
@@ -202,8 +199,8 @@ def _svm_binary(x: np.ndarray, y: np.ndarray, c_reg: float, tol: float, max_swee
     return w
 
 
-def svm_linear_fit(scores: np.ndarray, labels: np.ndarray, c_reg: float = 1.0, tol: float = 1e-6) -> SvmModel:
-    """One-vs-one soft-margin linear SVMs (C = 1), trained in a fixed pair order."""
+def svm_linear_fit(scores: np.ndarray, labels: np.ndarray) -> SvmModel:
+    """One-vs-one soft-margin linear SVMs (C = 1, relative gap 1e-6, 1000 sweeps), in a fixed pair order."""
     x = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -212,7 +209,7 @@ def svm_linear_fit(scores: np.ndarray, labels: np.ndarray, c_reg: float = 1.0, t
         for b in range(a + 1, classes.size):
             mask = (labels == classes[a]) | (labels == classes[b])
             y = np.where(labels[mask] == classes[a], 1.0, -1.0)
-            w = _svm_binary(x[mask], y, c_reg, tol, max_sweeps=1000)
+            w = _svm_binary(x[mask], y, 1.0, 1e-6, max_sweeps=1000)
             model.pair_weights.append((a, b, w))
     return model
 
@@ -242,11 +239,11 @@ class CvReport:
     confusion: np.ndarray
 
 
-def stratified_kfold(labels: np.ndarray, k: int = 5, seed: int = 0) -> np.ndarray:
-    """Per-class round-robin fold assignment after a seeded shuffle.
+def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Per-class round-robin assignment to ``N_FOLDS`` folds after a seeded shuffle.
 
     Classes start their round-robin at a rolling offset so overall fold sizes
-    stay balanced too (with n == k this degenerates to leave-one-out).
+    stay balanced too (with n == N_FOLDS this degenerates to leave-one-out).
     """
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
@@ -254,8 +251,8 @@ def stratified_kfold(labels: np.ndarray, k: int = 5, seed: int = 0) -> np.ndarra
     offset = 0
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
-        folds[rng.permutation(idx)] = (offset + np.arange(idx.size)) % k
-        offset = (offset + idx.size) % k
+        folds[rng.permutation(idx)] = (offset + np.arange(idx.size)) % N_FOLDS
+        offset = (offset + idx.size) % N_FOLDS
     return folds
 
 
@@ -276,22 +273,19 @@ def cross_validate(
     configs: list[LandmarkConfiguration],
     pipeline_id: str,
     classifier: str,
-    k: int = 5,
     seed: int = 0,
     settings=None,
 ) -> CvReport:
-    """Stratified k-fold CV with the full pipeline refit on every training fold."""
-    from curvemorph.pipelines import fit_pipeline  # deferred: pipelines builds on this module's callers
-
+    """Stratified ``N_FOLDS``-fold CV with the full pipeline refit on every training fold."""
     labels = np.array([c.label for c in configs])
     if any(lbl is None for lbl in labels):
         raise ValueError("all specimens need labels for cross validation")
     classes = np.unique(labels)
-    folds = stratified_kfold(labels, k=k, seed=seed)
+    folds = stratified_kfold(labels, seed=seed)
 
-    per_fold = np.zeros(k)
+    per_fold = np.zeros(N_FOLDS)
     confusion = np.zeros((classes.size, classes.size), dtype=int)
-    for f in range(k):
+    for f in range(N_FOLDS):
         train_idx = np.flatnonzero(folds != f)
         test_idx = np.flatnonzero(folds == f)
         fitted = fit_pipeline(pipeline_id, [configs[i] for i in train_idx], settings)
@@ -309,6 +303,6 @@ def cross_validate(
         classes=classes,
         per_fold_accuracy=per_fold,
         mean_accuracy=float(per_fold.mean()),
-        sd_accuracy=float(per_fold.std(ddof=1)) if k > 1 else 0.0,
+        sd_accuracy=float(per_fold.std(ddof=1)),
         confusion=confusion,
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from curvemorph import __version__
-from curvemorph.classify import CLASSIFIER_NAMES, _fit_predict, cross_validate, stratified_kfold
+from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, _fit_predict, cross_validate, stratified_kfold
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, canonical_pipeline_id, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
@@ -359,6 +359,9 @@ def cmd_run(args) -> int:
     replicates = _load_replicates(values)
     specimen_idx = values.get("specimen", 0)
     threads = values["threads"]
+    first_rep, first_configs = replicates[0]
+    if not 0 <= specimen_idx < len(first_configs):
+        raise InputError(f"specimen {specimen_idx} out of range: {first_rep} has specimens 0..{len(first_configs) - 1}")
 
     tasks = [(rep_name, pid) for rep_name, _ in replicates for pid in pipelines]
     data_by_rep = dict(replicates)
@@ -394,10 +397,9 @@ def cmd_run(args) -> int:
         write_csv(out / f"scree_{pid}.csv", ["replicate", "component", "eigenvalue", "cumulative_fraction"], scree_rows)
         outputs += [f"scores_{pid}.csv", f"scree_{pid}.csv"]
 
-        rep_name, configs = replicates[0]
-        output = results[(rep_name, pid)]
-        if not isinstance(output, Exception) and 0 <= specimen_idx < len(configs):
-            cfg = configs[specimen_idx]
+        output = results[(first_rep, pid)]
+        if not isinstance(output, Exception):
+            cfg = first_configs[specimen_idx]
             target = output.fitted.targets[specimen_idx]
             recon = output.reconstructions[specimen_idx]
             rows = [
@@ -420,11 +422,11 @@ def cmd_run(args) -> int:
 def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tuple[int, float]:
     """Index j of the adjacent score pair (j, j+1) with the best LDA CV accuracy."""
     best_j, best_acc = 0, -1.0
-    folds = stratified_kfold(labels, k=5, seed=seed)
+    folds = stratified_kfold(labels, seed=seed)
     for j in range(scores.shape[1] - 1):
         pair = scores[:, j : j + 2]
         accs = []
-        for f in range(5):
+        for f in range(N_FOLDS):
             tr, te = folds != f, folds == f
             if np.unique(labels[tr]).size < 2:
                 continue
@@ -485,7 +487,7 @@ def cmd_classify(args) -> int:
     data_by_rep = dict(replicates)
 
     def worker(rep_name, pid, clf):
-        return cross_validate(data_by_rep[rep_name], pid, clf, k=5, seed=seed, settings=settings)
+        return cross_validate(data_by_rep[rep_name], pid, clf, seed=seed, settings=settings)
 
     results, failures = _run_tasks(tasks, worker, threads)
 

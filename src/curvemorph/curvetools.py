@@ -64,15 +64,18 @@ def _interp_columns(x_new: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.
     return np.column_stack([np.interp(x_new, x, values[:, j]) for j in range(values.shape[1])])
 
 
-def arclength_reparameterise(curve: SampledCurve, m: int, max_iter: int = 60) -> SampledCurve:
-    """Resample the curve so it is traversed at constant speed.
+def arclength_reparameterise(curve: SampledCurve, m: int) -> SampledCurve:
+    """Resample the curve towards constant speed: ``m`` points of nearly equal chords.
 
-    Output sits on ``m`` uniform parameters; point i is the input evaluated
-    (by monotone linear interpolation) where the cumulative arc length
-    reaches i/(m-1) of the total.  That map is iterated to its fixed point
-    (the inscribed equal-chord polygon), which makes the operation idempotent
-    beyond the first-pass corner-cutting error.  Endpoints are preserved
-    exactly.
+    Output sits on ``m`` uniform parameters.  The first pass places point i
+    on the input polyline (by monotone linear interpolation) where the
+    cumulative arc length reaches i/(m-1) of the total; each further round
+    re-spaces the nodes by the arc length of the polygon through them, which
+    moves the chords towards equal length.  The rounds stop once no node
+    moves by 1e-14 or more, or after 60 rounds: on noisy polylines they can
+    stop short of equal chords, and the iteration need not converge at all.
+    Every output point lies on the input polyline, and the endpoints are
+    exact.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
@@ -82,7 +85,7 @@ def arclength_reparameterise(curve: SampledCurve, m: int, max_iter: int = 60) ->
         raise ValueError("degenerate curve")
 
     t_nodes = np.interp(np.linspace(0.0, total, m), s, curve.params)
-    for _ in range(max_iter):
+    for _ in range(60):
         values = _interp_columns(t_nodes, curve.params, curve.values)
         seg = np.linalg.norm(np.diff(values, axis=0), axis=1)
         s_m = np.concatenate([[0.0], np.cumsum(seg)])

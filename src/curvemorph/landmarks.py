@@ -38,12 +38,12 @@ class LandmarkConfiguration:
 class ProcrustesResult:
     """Output of generalised Procrustes analysis.
 
-    ``aligned`` configurations are centered at the origin with unit centroid
-    size; ``consensus`` is their coordinate-wise mean rescaled to unit
-    centroid size in a final pass.
+    ``aligned`` holds the configurations in input order, each centered at
+    the origin with unit centroid size; ``consensus`` is their
+    coordinate-wise mean rescaled to unit centroid size in a final pass.
     """
 
-    aligned: list[LandmarkConfiguration]
+    aligned: np.ndarray  # (n, N, 3)
     consensus: np.ndarray
     centroid_sizes: np.ndarray
     iterations: int
@@ -115,27 +115,29 @@ def _canonical_frame(consensus: np.ndarray) -> np.ndarray:
     return np.column_stack([u1, u2, np.cross(u1, u2)])
 
 
-def gpa(configs: list[LandmarkConfiguration], tol: float = 1e-10, max_iter: int = 100) -> ProcrustesResult:
-    """Generalised Procrustes analysis: remove translation, rotation, and scale.
+def gpa(points: np.ndarray) -> ProcrustesResult:
+    """Generalised Procrustes analysis of an (n, N, 3) stack: remove translation, rotation, and scale.
 
     Every configuration is centered and fixed to unit centroid size, then
     iteratively rotated to the evolving consensus (the unit-size rescaled
-    mean) until the consensus moves less than ``tol`` in Frobenius norm.
+    mean) until the consensus moves less than 1e-10 in Frobenius norm, for
+    at most 100 rounds.  Rejects stacks of another shape, of fewer than 2
+    configurations or 3 landmarks, and non-finite coordinates.
     """
-    if len(configs) < 2:
-        raise ValueError("gpa needs at least 2 configurations")
-    n_landmarks = configs[0].n_landmarks
-    if any(c.n_landmarks != n_landmarks for c in configs):
-        raise ValueError("all configurations must share the same landmark count")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[0] < 2 or points.shape[1] < 3 or points.shape[2] != 3:
+        raise ValueError(f"gpa needs an n x N x 3 stack with n >= 2 and N >= 3, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite landmark coordinates")
 
-    sizes = np.array([centroid_size(c) for c in configs])
-    shapes = np.stack([_normalize(c.points) for c in configs])
+    sizes = np.array([centroid_size(p) for p in points])
+    shapes = np.stack([_normalize(p) for p in points])
 
     consensus = _normalize(shapes[0])
     converged = False
     iterations = 0
     degenerate = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):
         for i in range(shapes.shape[0]):
             r, degen = optimal_rotation(shapes[i], consensus)
             degenerate = degenerate or degen
@@ -143,7 +145,7 @@ def gpa(configs: list[LandmarkConfiguration], tol: float = 1e-10, max_iter: int 
         new_consensus = _normalize(shapes.mean(axis=0))
         change = float(np.linalg.norm(new_consensus - consensus))
         consensus = new_consensus
-        if change < tol:
+        if change < 1e-10:
             converged = True
             break
 
@@ -152,20 +154,14 @@ def gpa(configs: list[LandmarkConfiguration], tol: float = 1e-10, max_iter: int 
     frame = _canonical_frame(consensus)
     consensus = consensus @ frame
     shapes = shapes @ frame
-
-    aligned = [
-        LandmarkConfiguration(c.specimen_id, shapes[i], c.label)
-        for i, c in enumerate(configs)
-    ]
-    result = ProcrustesResult(
-        aligned=aligned,
+    return ProcrustesResult(
+        aligned=shapes,
         consensus=consensus,
         centroid_sizes=sizes,
         iterations=iterations,
         converged=converged,
         degenerate=degenerate,
     )
-    return result
 
 
 def align_to_reference(points: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -193,7 +193,7 @@ def _fit_coordinate_mfpca(
 
 
 def _smooth_stack(
-    points_stack: list[np.ndarray], settings: PipelineSettings, grid: np.ndarray, n_basis: int | None = None
+    points_stack: np.ndarray | list[np.ndarray], settings: PipelineSettings, grid: np.ndarray, n_basis: int | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Least-squares smooth every curve onto the grid.
 
@@ -305,8 +305,8 @@ class FittedPipeline:
 
 def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
     targets = np.stack([_preprocess(c, settings, chain.arc) for c in configs])
-    result = gpa([LandmarkConfiguration(c.specimen_id, p, c.label) for c, p in zip(configs, targets)])
-    flat = flatten_configurations(np.stack([a.points for a in result.aligned]))
+    result = gpa(targets)
+    flat = flatten_configurations(result.aligned)
     model = pca_fit(flat)
     retained = model.eigenvalues[: min(settings.m_target, model.k_max)]
     k95 = _select_k95(pipeline_id, retained, flat, settings.variance_threshold)
@@ -331,13 +331,13 @@ def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration
 
 
 def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
-    pts = [_preprocess(c, settings, chain.arc) for c in configs]
-    result = gpa([LandmarkConfiguration(c.specimen_id, p, c.label) for c, p in zip(configs, pts)])
+    pts = np.stack([_preprocess(c, settings, chain.arc) for c in configs])
+    result = gpa(pts)
     grid = uniform_params(settings.n_points)
     # Smooth before differentiating: SRVFs of raw noisy polylines are
     # noise-dominated and would drive the warp search.
-    k_reg = _registration_basis_size(settings, result.aligned[0].n_landmarks)
-    smoothed_aligned, _ = _smooth_stack([a.points for a in result.aligned], settings, grid, n_basis=k_reg)
+    k_reg = _registration_basis_size(settings, result.aligned.shape[1])
+    smoothed_aligned, _ = _smooth_stack(result.aligned, settings, grid, n_basis=k_reg)
     qs = [to_srvf(SampledCurve(grid.copy(), smoothed_aligned[i])) for i in range(len(configs))]
     lam, alpha = chain.warp_penalty_and_blend(settings)
     registration = karcher_mean(qs, lam=lam, alpha=alpha)

@@ -95,11 +95,11 @@ def elastic_distance_sq(a: SrvfCurve, b: SrvfCurve) -> float:
     return _l2_norm_sq(a.params, a.q - b.q)
 
 
-def to_srvf(curve: SampledCurve, eps: float = 1e-8) -> SrvfCurve:
-    """q(t) = f'(t) / sqrt(|f'(t)|), with the speed floored at eps."""
+def to_srvf(curve: SampledCurve) -> SrvfCurve:
+    """q(t) = f'(t) / sqrt(|f'(t)|), with the speed floored at 1e-8."""
     vel = derivative(curve)
     speed = np.linalg.norm(vel, axis=1)
-    q = vel / np.sqrt(np.maximum(speed, eps))[:, None]
+    q = vel / np.sqrt(np.maximum(speed, 1e-8))[:, None]
     return SrvfCurve(curve.params.copy(), q)
 
 
@@ -339,7 +339,6 @@ class KarcherResult:
 def karcher_mean(
     qs: list[SrvfCurve],
     max_iter: int = 20,
-    tol: float = 1e-6,
     lam: float = 0.0,
     alpha: float = 1.0,
 ) -> KarcherResult:
@@ -348,8 +347,9 @@ def karcher_mean(
     Each iteration runs one ``align_step`` of every original SRVF against
     the current template, starting from its warp of the previous iteration
     (the identity at first), and replaces the template with the pointwise
-    mean of the aligned set.  Iteration stops at ``tol`` template change,
-    ``max_iter``, or as soon as the total aligned variance would increase.
+    mean of the aligned set.  Iteration stops once the template moves less
+    than 1e-6 in L2, after ``max_iter`` iterations, or as soon as the total
+    aligned variance would increase.
 
     The template is only defined up to a common reparameterisation; the
     result fixes that gauge by composing everything with the inverse of the
@@ -384,7 +384,7 @@ def karcher_mean(
         change = np.sqrt(_l2_norm_sq(t, new_template.q - template.q))
         template = new_template
         state = (aligned, warps, rotations)
-        if change < tol:
+        if change < 1e-6:
             converged = True
             break
     aligned, warps, rotations = state

@@ -16,7 +16,7 @@ from curvemorph.classify import cross_validate, multinomial_gradient, multinomia
 from curvemorph.cli import main, write_landmark_csv
 from curvemorph.curvetools import SampledCurve, arclength_reparameterise, uniform_params
 from curvemorph.fpca import mfpca, mfpca_reconstruct, trapezoid_weights, ufpca
-from curvemorph.landmarks import LandmarkConfiguration, gpa
+from curvemorph.landmarks import gpa
 from curvemorph.pca import pca_fit
 from curvemorph.pipelines import PipelineSettings, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
@@ -100,7 +100,7 @@ def test_criterion_3_phase_robust_classification():
     for rep in range(3):
         data = generate_replicate(config, rep)
         for pid in accuracies:
-            result = cross_validate(data, pid, "lda", k=5, seed=rep)
+            result = cross_validate(data, pid, "lda", seed=rep)
             accuracies[pid].append(result.mean_accuracy)
     means = {pid: float(np.mean(a)) for pid, a in accuracies.items()}
     gap_elastic = means["ElasticSrvFdm"] - means["GM"]
@@ -170,11 +170,11 @@ class TestCriterion5Properties:
             rng.uniform(0.5, 2.0) * pts @ special_ortho_group.rvs(3, random_state=rng) + rng.normal(size=3) * 5
             for pts in base
         ]
-        ra = gpa([LandmarkConfiguration(f"a{i}", p) for i, p in enumerate(base)])
-        rb = gpa([LandmarkConfiguration(f"b{i}", p) for i, p in enumerate(moved)])
+        ra = gpa(np.stack(base))
+        rb = gpa(np.stack(moved))
 
         def pairwise(result):
-            pts = [a.points for a in result.aligned]
+            pts = result.aligned
             return np.array([np.linalg.norm(pts[i] - pts[j]) for i in range(6) for j in range(i + 1, 6)])
 
         dev = float(np.max(np.abs(pairwise(ra) - pairwise(rb))))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph.basis import build_basis, evaluate, smooth
+from curvemorph.basis import ORDER, build_basis, evaluate, smooth
 from curvemorph.curvetools import SampledCurve, uniform_params
 
 
@@ -15,7 +15,7 @@ def curve_of(fn, m=30):
 
 class TestBuildBasis:
     def test_bernstein_endpoint(self):
-        basis = build_basis(n_basis=4, order=4)
+        basis = build_basis(n_basis=4)
         row = basis.design_matrix(np.array([0.0]))[0]
         assert np.allclose(row, [1.0, 0, 0, 0], atol=1e-14)
         row1 = basis.design_matrix(np.array([1.0]))[0]
@@ -28,13 +28,13 @@ class TestBuildBasis:
 
     def test_too_few_basis_functions(self):
         with pytest.raises(ValueError):
-            build_basis(n_basis=3, order=4)
+            build_basis(n_basis=3)
 
     @settings(max_examples=20)
     @given(st.integers(min_value=4, max_value=25))
     def test_knot_count(self, n_basis):
         basis = build_basis(n_basis=n_basis)
-        assert basis.knots.shape[0] == n_basis + basis.order
+        assert basis.knots.shape[0] == n_basis + ORDER
 
 
 class TestSmooth:

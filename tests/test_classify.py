@@ -126,7 +126,7 @@ class TestMultinomial:
     def test_convergence_flag(self):
         rng = np.random.default_rng(9)
         x, y = two_blob_data(rng, gap=0.1, n_per=15)
-        model = multinomial_fit(x, y, max_iter=500)
+        model = multinomial_fit(x, y)
         assert model.n_iter <= 500
 
 
@@ -246,26 +246,26 @@ class TestSvmSweepMatchesLoopOracle:
 class TestStratifiedKfold:
     def test_balanced_two_classes(self):
         labels = np.array(["a"] * 5 + ["b"] * 5)
-        folds = stratified_kfold(labels, k=5, seed=0)
+        folds = stratified_kfold(labels, seed=0)
         for f in range(5):
             chunk = labels[folds == f]
             assert sorted(chunk) == ["a", "b"]
 
     def test_deterministic(self):
         labels = np.repeat(["a", "b", "c"], 7)
-        assert np.array_equal(stratified_kfold(labels, 5, seed=42), stratified_kfold(labels, 5, seed=42))
+        assert np.array_equal(stratified_kfold(labels, seed=42), stratified_kfold(labels, seed=42))
 
     def test_proportions_within_one(self):
         rng = np.random.default_rng(14)
         labels = rng.choice(["a", "b", "c"], size=61, p=[0.5, 0.3, 0.2])
-        folds = stratified_kfold(labels, k=5, seed=1)
+        folds = stratified_kfold(labels, seed=1)
         for cls in np.unique(labels):
             counts = [np.sum((folds == f) & (labels == cls)) for f in range(5)]
             assert max(counts) - min(counts) <= 1
 
     def test_leave_one_out_boundary(self):
         labels = np.array(["a", "a", "b", "b", "b"])
-        folds = stratified_kfold(labels, k=5, seed=0)
+        folds = stratified_kfold(labels, seed=0)
         assert sorted(np.bincount(folds, minlength=5)) == [1, 1, 1, 1, 1]
 
 
@@ -277,7 +277,7 @@ def simulated_configs(seed=0, sizes=(8, 8, 8, 8), n_points=20):
 class TestCrossValidate:
     def test_easy_groups_high_accuracy(self):
         configs = simulated_configs()
-        report = cross_validate(configs, "FDM", "lda", k=5, seed=0)
+        report = cross_validate(configs, "FDM", "lda", seed=0)
         assert report.mean_accuracy >= 0.9
         assert report.per_fold_accuracy.shape == (5,)
         assert report.confusion.sum() == len(configs)
@@ -288,7 +288,7 @@ class TestCrossValidate:
         labels = np.array([c.label for c in configs])
         permuted = rng.permutation(labels)
         shuffled = [LandmarkConfiguration(c.specimen_id, c.points, lbl) for c, lbl in zip(configs, permuted)]
-        report = cross_validate(shuffled, "FDM", "lda", k=5, seed=0)
+        report = cross_validate(shuffled, "FDM", "lda", seed=0)
         share = np.max(np.bincount(np.searchsorted(np.unique(permuted), permuted))) / len(configs)
         sd = np.sqrt(share * (1 - share) / len(configs))
         assert report.mean_accuracy <= share + 5 * sd
@@ -296,7 +296,7 @@ class TestCrossValidate:
     def test_leakage_free_fold_fit(self):
         configs = simulated_configs(seed=7)
         labels = np.array([c.label for c in configs])
-        folds = stratified_kfold(labels, k=5, seed=0)
+        folds = stratified_kfold(labels, seed=0)
         train_idx = np.flatnonzero(folds != 0)
         test_idx = np.flatnonzero(folds == 0)
         fitted = fit_pipeline("GM", [configs[i] for i in train_idx])

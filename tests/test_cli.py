@@ -169,6 +169,15 @@ class TestRun:
         assert len(rows) == 20
         assert set(rows[0]) == {"landmark_index", "orig_x", "orig_y", "orig_z", "recon_x", "recon_y", "recon_z"}
 
+    @pytest.mark.parametrize("specimen", ["999", "-1"])
+    def test_out_of_range_specimen_is_an_input_error(self, tmp_path, capsys, specimen):
+        data = tmp_path / "replicate_000.csv"
+        write_dataset(data, small_dataset())
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--out", str(out), "--pipelines", "GM", "--specimen", specimen]) == 2
+        assert f"specimen {specimen} out of range: replicate_000 has specimens 0..19" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_elastic_chains_run_on_a_five_point_grid(self, tmp_path):
         data = tmp_path / "replicate_000.csv"
         write_dataset(data, small_dataset(sizes=(4, 4, 4, 4), n_points=12))

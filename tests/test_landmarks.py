@@ -79,25 +79,25 @@ class TestOptimalRotation:
 class TestGpa:
     def test_identical_configurations(self):
         pts = np.random.default_rng(5).normal(size=(8, 3))
-        result = gpa([make_config(pts, f"s{i}") for i in range(4)])
+        result = gpa(np.stack([pts] * 4))
         for a in result.aligned:
-            assert np.allclose(a.points, result.consensus, atol=1e-9)
-        ssd = sum(np.sum((a.points - result.consensus) ** 2) for a in result.aligned)
+            assert np.allclose(a, result.consensus, atol=1e-9)
+        ssd = sum(np.sum((a - result.consensus) ** 2) for a in result.aligned)
         assert ssd < 1e-18
 
     def test_removes_similarity_transform(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 3))
         moved = rigid_motion(pts, rng)
-        result = gpa([make_config(pts, "a"), make_config(moved, "b")])
-        dist = np.linalg.norm(result.aligned[0].points - result.aligned[1].points)
+        result = gpa(np.stack([pts, moved]))
+        dist = np.linalg.norm(result.aligned[0] - result.aligned[1])
         assert dist < 1e-8
 
     def test_noisy_copies_recover_template(self):
         rng = np.random.default_rng(7)
         template = rng.normal(size=(12, 3))
         noise_sd = 0.01
-        configs = [make_config(template + rng.normal(0, noise_sd, size=(12, 3)), f"s{i}") for i in range(10)]
+        configs = np.stack([template + rng.normal(0, noise_sd, size=(12, 3)) for _ in range(10)])
         result = gpa(configs)
         normalized = center(template) / centroid_size(template)
         r, _ = optimal_rotation(result.consensus, normalized)
@@ -106,26 +106,26 @@ class TestGpa:
 
     def test_aligned_invariants(self):
         rng = np.random.default_rng(8)
-        configs = [make_config(rng.normal(size=(6, 3)), f"s{i}") for i in range(5)]
+        configs = np.stack([rng.normal(size=(6, 3)) for _ in range(5)])
         result = gpa(configs)
         assert result.converged
         for a in result.aligned:
-            assert np.linalg.norm(a.points.mean(axis=0)) < 1e-10
-            assert centroid_size(a.points) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(a.mean(axis=0)) < 1e-10
+            assert centroid_size(a) == pytest.approx(1.0, abs=1e-10)
         # Consensus: unit size, proportional to the coordinate-wise mean.
         assert centroid_size(result.consensus) == pytest.approx(1.0, abs=1e-8)
-        mean = np.mean([a.points for a in result.aligned], axis=0)
+        mean = np.mean(result.aligned, axis=0)
         assert np.allclose(result.consensus * centroid_size(mean), mean, atol=1e-10)
 
     def test_invariant_to_input_similarity_transforms(self):
         rng = np.random.default_rng(9)
         base = [rng.normal(size=(7, 3)) for _ in range(6)]
         moved = [rigid_motion(p, rng) for p in base]
-        ra = gpa([make_config(p, f"a{i}") for i, p in enumerate(base)])
-        rb = gpa([make_config(p, f"b{i}") for i, p in enumerate(moved)])
+        ra = gpa(np.stack(base))
+        rb = gpa(np.stack(moved))
 
         def pairwise(result):
-            pts = [a.points for a in result.aligned]
+            pts = result.aligned
             return np.array(
                 [np.linalg.norm(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))]
             )
@@ -135,14 +135,14 @@ class TestGpa:
     def test_degenerate_configuration_errors(self):
         ok = np.random.default_rng(10).normal(size=(4, 3))
         with pytest.raises(ValueError, match="zero centroid size"):
-            gpa([make_config(ok, "a"), make_config(np.ones((4, 3)), "b")])
+            gpa(np.stack([ok, np.ones((4, 3))]))
 
     def test_align_to_reference_matches_gpa_frame(self):
         rng = np.random.default_rng(11)
-        configs = [make_config(rng.normal(size=(6, 3)), f"s{i}") for i in range(5)]
+        configs = np.stack([rng.normal(size=(6, 3)) for _ in range(5)])
         result = gpa(configs)
-        aligned = align_to_reference(rigid_motion(configs[2].points, rng), result.consensus)
-        assert np.allclose(aligned, result.aligned[2].points, atol=1e-6)
+        aligned = align_to_reference(rigid_motion(configs[2], rng), result.consensus)
+        assert np.allclose(aligned, result.aligned[2], atol=1e-6)
 
 
 class TestValidation:
@@ -159,4 +159,16 @@ class TestValidation:
     def test_gpa_needs_two(self, n):
         pts = np.random.default_rng(n).normal(size=(n, 3))
         with pytest.raises(ValueError):
-            gpa([make_config(pts)])
+            gpa(pts[None])
+
+    @pytest.mark.parametrize(
+        "shape,bad_value",
+        [((4, 6, 3), np.nan), ((4, 6, 3), np.inf), ((4, 2, 3), None), ((1, 6, 3), None), ((6, 3), None), ((4, 6, 2), None)],
+        ids=["nan", "inf", "two-landmarks", "one-configuration", "2-d", "two-coordinates"],
+    )
+    def test_gpa_rejects_malformed_stack(self, shape, bad_value):
+        points = np.random.default_rng(12).normal(size=shape)
+        if bad_value is not None:
+            points[2, 1, 0] = bad_value
+        with pytest.raises(ValueError):
+            gpa(points)
