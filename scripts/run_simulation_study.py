@@ -22,7 +22,6 @@ def run(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-reps", type=int, default=10, help="replicates (50 for the full-scale study)")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--pipelines", default="all")
     parser.add_argument("--classifiers", default="all")
     parser.add_argument("--classify-reps", type=int, default=3, help="replicates used for cross validation")
@@ -30,10 +29,9 @@ def run(argv=None) -> int:
 
     out = Path(args.out)
     sim_dir = out / "data"
-    threads = str(args.threads)
 
     code = curvemorph_main(
-        ["simulate", "--out", str(sim_dir), "--seed", str(args.seed), "--n-reps", str(args.n_reps), "--threads", threads]
+        ["simulate", "--out", str(sim_dir), "--seed", str(args.seed), "--n-reps", str(args.n_reps)]
     )
     if code != 0:
         return code
@@ -41,7 +39,7 @@ def run(argv=None) -> int:
     code = curvemorph_main(
         [
             "run", "--data", str(sim_dir), "--out", str(out / "pipelines"),
-            "--seed", str(args.seed), "--pipelines", args.pipelines, "--threads", threads,
+            "--seed", str(args.seed), "--pipelines", args.pipelines,
         ]
     )
     if code != 0:
@@ -54,7 +52,7 @@ def run(argv=None) -> int:
         [
             "classify", "--data", cv_files, "--out", str(out / "classification"),
             "--seed", str(args.seed), "--pipelines", args.pipelines,
-            "--classifiers", args.classifiers, "--threads", threads, "--svg",
+            "--classifiers", args.classifiers, "--svg",
         ]
     )
     if code != 0:

@@ -11,8 +11,8 @@ validation, plus a seeded helix simulation harness, round out the toolkit.
 
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation
 from curvemorph.curvetools import SampledCurve, arclength_reparameterise, cumulative_arclength, derivative, resample_uniform
-from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, soft_warp, to_srvf, warp_action
-from curvemorph.basis import BSplineBasis, FunctionalObject, build_basis, evaluate, smooth
+from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, soft_warp, to_srvf
+from curvemorph.basis import BSplineBasis, build_basis
 from curvemorph.fpca import MfpcaModel, UnivariateFpcaModel, mfpca, mfpca_project, select_components, ufpca
 from curvemorph.pca import PcaModel, pca_fit, pca_reconstruct
 from curvemorph.pipelines import PIPELINE_IDS, PipelineOutput, PipelineSettings, evaluate_mse, run_pipeline
@@ -36,15 +36,11 @@ __all__ = [
     "WarpingFunction",
     "to_srvf",
     "from_srvf",
-    "warp_action",
     "estimate_warp",
     "soft_warp",
     "karcher_mean",
     "BSplineBasis",
-    "FunctionalObject",
     "build_basis",
-    "smooth",
-    "evaluate",
     "UnivariateFpcaModel",
     "MfpcaModel",
     "ufpca",

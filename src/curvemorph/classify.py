@@ -281,6 +281,8 @@ def cross_validate(
     if any(lbl is None for lbl in labels):
         raise ValueError("all specimens need labels for cross validation")
     classes = np.unique(labels)
+    if classes.size < 2:
+        raise ValueError("cross validation needs at least 2 classes")
     folds = stratified_kfold(labels, seed=seed)
 
     per_fold = np.zeros(N_FOLDS)

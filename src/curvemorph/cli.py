@@ -16,7 +16,6 @@ import csv
 import glob
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -154,7 +153,6 @@ _FIT = ("run", "classify")
 _OPTIONS = {
     "seed": (int, _ALL, None),
     "out": (str, _ALL, "output directory"),
-    "threads": (int, _ALL, "worker threads (results independent of count)"),
     "n_reps": (int, ("simulate",), None),
     "data": (str, _FIT, "CSV file(s), directory, or glob; comma-separated"),
     "labels": (str, _FIT, "specimen_id,label CSV joined onto the data"),
@@ -202,7 +200,6 @@ def _merged(args: argparse.Namespace) -> dict:
         if flag is not None:
             values[key] = flag
     values.setdefault("seed", 0)
-    values.setdefault("threads", 1)
     return values
 
 
@@ -302,12 +299,15 @@ def _finish(
 
 def cmd_simulate(args) -> int:
     values = _merged(args)
+    try:
+        config = SimConfig(
+            n_points=values.get("n_points", 30),
+            n_reps=values.get("n_reps", 50),
+            seed=values["seed"],
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     out = _out_dir(values)
-    config = SimConfig(
-        n_points=values.get("n_points", 30),
-        n_reps=values.get("n_reps", 50),
-        seed=values["seed"],
-    )
     outputs = []
     for rep in range(config.n_reps):
         path = out / f"replicate_{rep:03d}.csv"
@@ -329,8 +329,8 @@ def _load_replicates(values: dict) -> list[tuple[str, list[LandmarkConfiguration
     return replicates
 
 
-def _run_tasks(tasks, worker, threads: int) -> tuple[dict, list[str]]:
-    """Evaluate independent tasks, possibly in parallel; results keyed deterministically.
+def _run_tasks(tasks, worker) -> tuple[dict, list[str]]:
+    """Evaluate independent tasks in order; results keyed by task.
 
     A task whose worker raises ``ValueError`` keeps the exception as its
     result and is listed in the failures as ``key/parts: message``.
@@ -342,26 +342,21 @@ def _run_tasks(tasks, worker, threads: int) -> tuple[dict, list[str]]:
         except ValueError as exc:
             return exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(tasks, pool.map(attempt, tasks)))
-    else:
-        results = {key: attempt(key) for key in tasks}
+    results = {key: attempt(key) for key in tasks}
     failures = [f"{'/'.join(key)}: {res}" for key, res in results.items() if isinstance(res, Exception)]
     return results, failures
 
 
 def cmd_run(args) -> int:
     values = _merged(args)
-    out = _out_dir(values)
     settings = settings_from(values)
     pipelines = _resolve_names(values, "pipelines", PIPELINE_IDS, canonical_pipeline_id)
     replicates = _load_replicates(values)
     specimen_idx = values.get("specimen", 0)
-    threads = values["threads"]
     first_rep, first_configs = replicates[0]
     if not 0 <= specimen_idx < len(first_configs):
         raise InputError(f"specimen {specimen_idx} out of range: {first_rep} has specimens 0..{len(first_configs) - 1}")
+    out = _out_dir(values)
 
     tasks = [(rep_name, pid) for rep_name, _ in replicates for pid in pipelines]
     data_by_rep = dict(replicates)
@@ -369,7 +364,7 @@ def cmd_run(args) -> int:
     def worker(rep_name, pid):
         return run_pipeline(pid, data_by_rep[rep_name], settings)
 
-    results, failures = _run_tasks(tasks, worker, threads)
+    results, failures = _run_tasks(tasks, worker)
 
     outputs = []
     k95_rows, mse_rows = [], []
@@ -471,17 +466,18 @@ def _write_scatter_svg(path: Path, pair: np.ndarray, labels: np.ndarray, title: 
 
 def cmd_classify(args) -> int:
     values = _merged(args)
-    out = _out_dir(values)
     settings = settings_from(values)
     pipelines = _resolve_names(values, "pipelines", PIPELINE_IDS, canonical_pipeline_id)
     classifiers = _resolve_names(values, "classifiers", CLASSIFIER_NAMES, _canonical_classifier)
     replicates = _load_replicates(values)
     seed = values["seed"]
-    threads = values["threads"]
 
     for rep_name, configs in replicates:
         if any(c.label is None for c in configs):
             raise InputError(f"{rep_name}: specimens without labels; provide --labels")
+        if len({c.label for c in configs}) < 2:
+            raise InputError(f"{rep_name}: all specimens share one label; classification needs at least 2 classes")
+    out = _out_dir(values)
 
     tasks = [(rep, pid, clf) for rep, _ in replicates for pid in pipelines for clf in classifiers]
     data_by_rep = dict(replicates)
@@ -489,7 +485,7 @@ def cmd_classify(args) -> int:
     def worker(rep_name, pid, clf):
         return cross_validate(data_by_rep[rep_name], pid, clf, seed=seed, settings=settings)
 
-    results, failures = _run_tasks(tasks, worker, threads)
+    results, failures = _run_tasks(tasks, worker)
 
     rows, summary = [], []
     for pid in pipelines:

@@ -30,10 +30,6 @@ class SampledCurve:
         self.params = t
         self.values = v
 
-    @property
-    def n_samples(self) -> int:
-        return self.params.shape[0]
-
 
 def uniform_params(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
@@ -45,9 +41,9 @@ def curve_from_points(points: np.ndarray) -> SampledCurve:
     return SampledCurve(uniform_params(points.shape[0]), points)
 
 
-def derivative(curve: SampledCurve) -> np.ndarray:
-    """Finite-difference velocity: central differences inside, one-sided at the ends."""
-    return np.gradient(curve.values, curve.params, axis=0, edge_order=1)
+def derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Finite-difference velocity of (..., M, 3) values on the grid t: central differences inside, one-sided at the ends."""
+    return np.gradient(values, t, axis=-2, edge_order=1)
 
 
 def cumulative_arclength(curve: SampledCurve) -> np.ndarray:

@@ -17,10 +17,6 @@ def flatten_configurations(points: np.ndarray) -> np.ndarray:
     return points.reshape(points.shape[0], -1)
 
 
-def unflatten(vector: np.ndarray) -> np.ndarray:
-    return np.asarray(vector, dtype=float).reshape(-1, 3)
-
-
 def _fix_signs_rows(rows: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(rows), axis=1)
     signs = np.sign(rows[np.arange(rows.shape[0]), idx])
@@ -69,4 +65,4 @@ def pca_reconstruct(model: PcaModel, scores_row: np.ndarray, k: int) -> tuple[np
     if not 0 <= k <= model.k_max:
         raise ValueError("component count out of range")
     vec = model.mean_vector + scores_row[:k] @ model.loadings[:k]
-    return unflatten(vec), unflatten(model.mean_vector)
+    return vec.reshape(-1, 3), model.mean_vector.reshape(-1, 3)

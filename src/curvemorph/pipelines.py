@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from curvemorph.basis import build_basis, fit_coefficients
-from curvemorph.curvetools import SampledCurve, arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
+from curvemorph.curvetools import arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
 from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, gpa, optimal_rotation
 from curvemorph.pca import PcaModel, flatten_configurations, pca_fit, pca_project, pca_reconstruct
@@ -235,7 +235,8 @@ def _smoothing_designs(n_basis: int, m_in: int, grid_bytes: bytes) -> tuple[np.n
 # fitted pipeline
 
 def _recenter(values: np.ndarray) -> np.ndarray:
-    return values - values.mean(axis=0)
+    """(..., M, 3) curves, each moved to centroid zero."""
+    return values - values.mean(axis=-2, keepdims=True)
 
 
 @dataclass
@@ -270,12 +271,12 @@ class FittedPipeline:
         lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
         k_reg = _registration_basis_size(self.settings, pts.shape[0])
         smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
-        q = to_srvf(SampledCurve(self.grid.copy(), smoothed[0]))
+        q = to_srvf(smoothed[0], self.grid)
         # Two rotation/warp alternations: the second rotation sees the
         # correspondence of the first, unblended warp.
-        rotated, _, gamma, _ = align_step(q.q, self.template, None, lam, 1.0)
+        rotated, _, gamma, _ = align_step(q, self.template, None, lam, 1.0)
         _, aligned, _, _ = align_step(rotated, self.template, gamma, lam, alpha)
-        return _recenter(from_srvf(SrvfCurve(self.grid, aligned), np.zeros(3)).values)
+        return _recenter(from_srvf(aligned, self.grid))
 
     def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
         """Scores of held-out specimens through the trained transforms, without refitting."""
@@ -298,8 +299,7 @@ class FittedPipeline:
         else:
             recon = mfpca_reconstruct(self.recon_model, self.recon_model.scores[index], k)[0]
         if self.chain.backbone == "elastic":
-            curve = from_srvf(SrvfCurve(self.grid.copy(), recon), np.zeros(3))
-            recon = _recenter(curve.values) * self.sizes[index]
+            recon = _recenter(from_srvf(recon, self.grid)) * self.sizes[index]
         return superimpose(recon, self.targets[index])
 
 
@@ -338,10 +338,9 @@ def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfigura
     # noise-dominated and would drive the warp search.
     k_reg = _registration_basis_size(settings, result.aligned.shape[1])
     smoothed_aligned, _ = _smooth_stack(result.aligned, settings, grid, n_basis=k_reg)
-    qs = [to_srvf(SampledCurve(grid.copy(), smoothed_aligned[i])) for i in range(len(configs))]
     lam, alpha = chain.warp_penalty_and_blend(settings)
-    registration = karcher_mean(qs, lam=lam, alpha=alpha)
-    amplitudes = [_recenter(from_srvf(q, np.zeros(3)).values) for q in registration.aligned]
+    registration = karcher_mean([SrvfCurve(grid, q) for q in to_srvf(smoothed_aligned, grid)], lam=lam, alpha=alpha)
+    amplitudes = _recenter(from_srvf(np.stack([q.q for q in registration.aligned]), grid))
 
     # Amplitude and SRVF functions carry transformed (non-i.i.d.) noise, so
     # their spectra use the plain estimator.
@@ -351,7 +350,7 @@ def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfigura
 
     # SRVF-space decomposition for the reconstruction path, built from the
     # same smoothed aligned amplitudes the representation uses.
-    q_stack = np.stack([to_srvf(SampledCurve(grid.copy(), smoothed[i])).q for i in range(len(configs))])
+    q_stack = to_srvf(smoothed, grid)
     srvf_model = _fit_coordinate_mfpca(q_stack, grid, settings.m_target)
     srvf_k95 = _select_k95(pipeline_id, srvf_model.eigenvalues, q_stack, settings.variance_threshold)
 

@@ -39,6 +39,8 @@ class SimConfig:
             raise ValueError("sigmas must be nonnegative")
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
+        if self.n_reps < 1:
+            raise ValueError("n_reps must be at least 1")
 
     @property
     def n_specimens(self) -> int:

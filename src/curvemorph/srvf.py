@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from curvemorph.curvetools import SampledCurve, derivative, uniform_params
+from curvemorph.curvetools import derivative, uniform_params
 from curvemorph.landmarks import optimal_rotation
 
 # Predecessor steps (dt_step, dgamma_step) for the DP lattice, filtered to
@@ -90,27 +90,22 @@ def _l2_norm_sq(t: np.ndarray, values: np.ndarray) -> float:
     return float(np.trapezoid(np.sum(values**2, axis=1), t))
 
 
-def elastic_distance_sq(a: SrvfCurve, b: SrvfCurve) -> float:
-    """Squared L2 distance between two SRVFs on a common grid."""
-    return _l2_norm_sq(a.params, a.q - b.q)
+def to_srvf(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """q(t) = f'(t) / sqrt(|f'(t)|) of (..., M, 3) curve values on the grid t, with the speed floored at 1e-8."""
+    vel = derivative(values, t)
+    speed = np.linalg.norm(vel, axis=-1)
+    return vel / np.sqrt(np.maximum(speed, 1e-8))[..., None]
 
 
-def to_srvf(curve: SampledCurve) -> SrvfCurve:
-    """q(t) = f'(t) / sqrt(|f'(t)|), with the speed floored at 1e-8."""
-    vel = derivative(curve)
-    speed = np.linalg.norm(vel, axis=1)
-    q = vel / np.sqrt(np.maximum(speed, 1e-8))[:, None]
-    return SrvfCurve(curve.params.copy(), q)
+def from_srvf(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Invert the transform from the origin by cumulative trapezoid integration of q * |q|.
 
-
-def from_srvf(q: SrvfCurve, f0: np.ndarray) -> SampledCurve:
-    """Invert the transform by cumulative trapezoid integration of q * |q|."""
-    f0 = np.asarray(f0, dtype=float).reshape(3)
-    integrand = q.q * np.linalg.norm(q.q, axis=1)[:, None]
-    dt = np.diff(q.params)[:, None]
-    increments = 0.5 * (integrand[:-1] + integrand[1:]) * dt
-    values = np.vstack([np.zeros(3), np.cumsum(increments, axis=0)]) + f0
-    return SampledCurve(q.params.copy(), values)
+    Takes and returns (..., M, 3) values on the grid t; add a start point to
+    place the curve elsewhere.
+    """
+    integrand = q * np.linalg.norm(q, axis=-1)[..., None]
+    increments = 0.5 * (integrand[..., :-1, :] + integrand[..., 1:, :]) * np.diff(t)[:, None]
+    return np.concatenate([np.zeros_like(q[..., :1, :]), np.cumsum(increments, axis=-2)], axis=-2)
 
 
 def _warp_values(t: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -118,13 +113,6 @@ def _warp_values(t: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
     gdot = np.gradient(g, t, edge_order=1)
     warped = np.column_stack([np.interp(g, t, q[:, j]) for j in range(3)])
     return warped * np.sqrt(np.maximum(gdot, 0.0))[:, None]
-
-
-def warp_action(q: SrvfCurve, gamma: WarpingFunction) -> SrvfCurve:
-    """Group action of a warp on an SRVF: (q o gamma) * sqrt(gamma')."""
-    if gamma.gamma.shape[0] != q.n_samples:
-        raise ValueError("warp and SRVF must share a grid length")
-    return SrvfCurve(q.params.copy(), _warp_values(q.params, q.q, gamma.gamma))
 
 
 def soft_warp(gamma: WarpingFunction, alpha: float) -> WarpingFunction:
@@ -209,7 +197,7 @@ def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: floa
 
 
 def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) -> WarpingFunction:
-    """Warp gamma* approximately minimizing |q_target - warp_action(q_source, gamma)|^2.
+    """Warp gamma* approximately minimizing |q_target - (q_source o gamma) * sqrt(gamma')|^2.
 
     Dynamic programming over the full M x M lattice with local slopes
     restricted to [1/4, 4]; the penalty lam * integral (sqrt(gamma') - 1)^2
@@ -290,14 +278,6 @@ def _rotation(q: np.ndarray, template: np.ndarray) -> np.ndarray:
     sw = np.sqrt(w)[:, None]
     r, _ = optimal_rotation(q * sw, template * sw)
     return r
-
-
-def rotation_align_srvf(q: SrvfCurve, template: SrvfCurve) -> tuple[SrvfCurve, np.ndarray]:
-    """Rotate an SRVF onto a template, minimizing the quadrature-weighted L2 distance."""
-    if q.n_samples != template.n_samples:
-        raise ValueError("SRVFs must share a grid")
-    r = _rotation(q.q, template.q)
-    return SrvfCurve(q.params.copy(), q.q @ r), r
 
 
 def align_step(

@@ -6,12 +6,16 @@ criteria share module-scoped fixtures so the replicate runs happen once.
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvemorph
 from curvemorph.classify import cross_validate, multinomial_gradient, multinomial_objective
 from curvemorph.cli import main, write_landmark_csv
 from curvemorph.curvetools import SampledCurve, arclength_reparameterise, uniform_params
@@ -20,9 +24,10 @@ from curvemorph.landmarks import gpa
 from curvemorph.pca import pca_fit
 from curvemorph.pipelines import PipelineSettings, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
-from curvemorph.srvf import SrvfCurve, WarpingFunction, elastic_distance_sq, estimate_warp, from_srvf, to_srvf, warp_action
+from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, to_srvf
 
 from helpers import kangaroo_stand_in, score_rel, separated_mode_family
+from oracles import elastic_distance_sq, warp_action
 
 SEED = 20260811
 N_REPS = 10
@@ -157,8 +162,8 @@ class TestCriterion5Properties:
     def test_srvf_roundtrip(self):
         t = uniform_params(200)
         curve = SampledCurve(t, np.stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), t], axis=1))
-        back = from_srvf(to_srvf(curve), curve.values[0])
-        err = float(np.max(np.abs(back.values - curve.values)))
+        back = from_srvf(to_srvf(curve.values, curve.params), curve.params) + curve.values[0]
+        err = float(np.max(np.abs(back - curve.values)))
         assert report("criterion 5b (SRVF roundtrip)", err < 5e-3, f"max pointwise error {err:.2e} (< 5e-3, M=200)")
 
     def test_gpa_invariance(self):
@@ -234,31 +239,39 @@ class TestCriterion5Properties:
         rel = score_rel(base.scores, warped.scores)
         assert report("criterion 5f (elastic phase invariance)", rel < 0.05, f"score change {rel:.4f} relative L2 (< 0.05)")
 
-    def test_determinism_across_thread_counts(self, tmp_path):
-        def digest(workdir: Path, threads: str) -> dict:
-            sim = workdir / "sim"
-            assert main(["simulate", "--seed", "5", "--n-reps", "2", "--n-points", "12", "--out", str(sim), "--threads", threads]) == 0
-            out = workdir / "out"
-            assert (
-                main(
-                    [
-                        "run", "--data", str(sim), "--out", str(out), "--seed", "5",
-                        "--n-points", "12", "--pipelines", "GM,FDM,SoftSrvFdm", "--threads", threads,
-                    ]
-                )
-                == 0
-            )
+    def test_determinism_across_runs_and_processes(self, tmp_path):
+        def commands(workdir: Path) -> list[list[str]]:
+            sim, out = workdir / "sim", workdir / "out"
+            return [
+                ["simulate", "--seed", "5", "--n-reps", "2", "--n-points", "12", "--out", str(sim)],
+                ["run", "--data", str(sim), "--out", str(out), "--seed", "5", "--n-points", "12",
+                 "--pipelines", "GM,FDM,SoftSrvFdm"],
+            ]
+
+        def digest(workdir: Path) -> dict:
             digests = {}
-            for path in sorted(list(sim.glob("*.csv")) + list(out.glob("*.csv"))):
+            for path in sorted(list((workdir / "sim").glob("*.csv")) + list((workdir / "out").glob("*.csv"))):
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             return digests
 
-        runs = [digest(tmp_path / name, threads) for name, threads in (("a", "1"), ("b", "1"), ("c", "4"))]
+        for name in ("a", "b"):
+            for argv in commands(tmp_path / name):
+                assert main(argv) == 0
+        # The third run shares no state with this process: a fresh
+        # interpreter with a different string-hash seed.
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+        src = str(Path(curvemorph.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        for argv in commands(tmp_path / "c"):
+            subprocess.run([sys.executable, "-m", "curvemorph.cli", *argv], env=env, check=True, capture_output=True)
+
+        runs = [digest(tmp_path / name) for name in ("a", "b", "c")]
         ok = runs[0] == runs[1] == runs[2]
         assert report(
             "criterion 5g (determinism)",
             ok,
-            f"{len(runs[0])} CSVs byte-identical across reruns and thread counts 1 and 4",
+            f"{len(runs[0])} CSVs byte-identical across two in-process runs and a fresh process with another hash seed",
         )
 
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph.basis import ORDER, build_basis, evaluate, smooth
+from curvemorph.basis import ORDER, build_basis
 from curvemorph.curvetools import SampledCurve, uniform_params
+
+from oracles import evaluate, smooth
 
 
 def curve_of(fn, m=30):

@@ -311,6 +311,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="classifier"):
             cross_validate(configs, "GM", "forest")
 
+    def test_one_class_is_rejected(self):
+        configs = [LandmarkConfiguration(c.specimen_id, c.points, "A") for c in simulated_configs()]
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            cross_validate(configs, "GM", "svm")
+
 
 class TestPredictionInvariances:
     @settings(max_examples=10, deadline=None)

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 from curvemorph import pipelines
 from curvemorph.cli import main, read_landmark_csv, write_landmark_csv
+from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.simgen import SimConfig, generate_replicate
 
 
@@ -73,7 +73,7 @@ class TestExitTail:
     )
     def test_every_task_failed(self, tmp_path, capsys, command, message):
         data = tmp_path / "tiny.csv"
-        write_dataset(data, small_dataset(seed=1, sizes=(3, 3, 3, 3), n_points=10)[:3])
+        write_dataset(data, small_dataset(seed=1, sizes=(3, 3, 3, 3), n_points=10)[2:5])  # labels G1, G2, G2
         out = tmp_path / "o"
         argv = [command, "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]
         if command == "classify":
@@ -120,6 +120,13 @@ class TestSimulate:
         files = list(out.glob("replicate_*.csv"))
         assert len(files) == 50
         assert len(read_landmark_csv(files[0])) == 200
+
+    @pytest.mark.parametrize("flag,value", [("--n-points", "2"), ("--n-reps", "0"), ("--n-reps", "-1")])
+    def test_invalid_setting_is_an_input_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--seed", "1", flag, value, "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -194,42 +201,54 @@ class TestRun:
         assert manifest["failures"] == []
 
 
-class TestThreadDeterminism:
-    def test_thread_count_does_not_change_outputs(self, tmp_path):
+class TestPreprocessCache:
+    def test_warm_cache_gives_the_cold_cache_outputs(self, tmp_path):
+        # The second run reads every specimen's grid points from the cache
+        # the first run filled.
         data = tmp_path / "replicate_000.csv"
-        write_dataset(data, small_dataset(seed=9, sizes=(4, 4, 4, 4), n_points=15))
+        write_dataset(data, small_dataset(seed=10, sizes=(4, 4, 4, 4), n_points=15))
+        pipelines._grid_points.cache_clear()
         outs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"t{threads}"
-            code = main(
-                [
-                    "run", "--data", str(data), "--out", str(out), "--seed", "0",
-                    "--n-points", "15", "--pipelines", "GM,FDM,SoftSrvFdm", "--threads", threads,
-                ]
-            )
-            assert code == 0
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            args = ["run", "--data", str(data), "--out", str(out), "--seed", "0",
+                    "--n-points", "15", "--pipelines", "ArcGM,ArcFDM"]
+            assert main(args) == 0
             outs.append(hash_dir_csvs(out))
         assert outs[0] == outs[1]
 
-    def test_shared_preprocess_cache_under_concurrent_workers(self, tmp_path):
-        # Both arc pipelines ask for the same specimens at once, so with an
-        # empty cache the workers race on every entry.
-        data = tmp_path / "replicate_000.csv"
-        write_dataset(data, small_dataset(seed=10, sizes=(4, 4, 4, 4), n_points=15))
-        outs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for threads in ("1", "3"):
-                pipelines._grid_points.cache_clear()
-                out = tmp_path / f"t{threads}"
-                args = ["run", "--data", str(data), "--out", str(out), "--seed", "0",
-                        "--n-points", "15", "--pipelines", "ArcGM,ArcFDM", "--threads", threads]
-                assert main(args) == 0
-                outs.append(hash_dir_csvs(out))
-        finally:
-            sys.setswitchinterval(interval)
-        assert outs[0] == outs[1]
+
+class TestInputErrorLeavesNoOutput:
+    """Input is checked before the output directory is made (``simulate``: see TestSimulate)."""
+
+    @pytest.mark.parametrize(
+        "args,labelled",
+        [(["run", "--specimen", "999"], True), (["run", "--pipelines", "nope"], True), (["classify"], False)],
+        ids=["run-specimen", "run-pipelines", "classify-unlabelled"],
+    )
+    def test_no_directory_is_made(self, tmp_path, capsys, args, labelled):
+        configs = small_dataset(seed=4, sizes=(3, 3, 3, 3), n_points=10)
+        if not labelled:
+            configs = [LandmarkConfiguration(c.specimen_id, c.points, None) for c in configs]
+        data = tmp_path / "d.csv"
+        write_dataset(data, configs)
+        out = tmp_path / "o"
+        assert main(args + ["--data", str(data), "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestThreadsOptionRemoved:
+    def test_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--threads", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -331,6 +350,15 @@ class TestClassify:
         code = main(["classify", "--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{labels}:{len(configs) + 2}: specimen {configs[0].specimen_id} listed twice" in capsys.readouterr().err
+
+    def test_one_class_replicate_is_an_input_error(self, tmp_path, capsys):
+        configs = [LandmarkConfiguration(c.specimen_id, c.points, "A") for c in small_dataset(seed=2, sizes=(3, 3, 3, 3))]
+        data = tmp_path / "d.csv"
+        write_dataset(data, configs)
+        out = tmp_path / "o"
+        assert main(["classify", "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]) == 2
+        assert "d: all specimens share one label" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_svg_emission(self, tmp_path):
         data = tmp_path / "d.csv"

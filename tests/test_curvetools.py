@@ -23,17 +23,17 @@ def helix(t):
 class TestDerivative:
     def test_linear_exact(self):
         t = uniform_params(20)
-        d = derivative(SampledCurve(t, np.stack([t, 0 * t, 0 * t], axis=1)))
+        d = derivative(np.stack([t, 0 * t, 0 * t], axis=1), t)
         assert np.allclose(d, np.tile([1.0, 0, 0], (20, 1)), atol=1e-12)
 
     def test_quadratic_interior(self):
         t = uniform_params(101)
-        d = derivative(SampledCurve(t, np.stack([t**2, 0 * t, 0 * t], axis=1)))
+        d = derivative(np.stack([t**2, 0 * t, 0 * t], axis=1), t)
         assert np.max(np.abs(d[1:-1, 0] - 2 * t[1:-1])) < 1e-3
 
     def test_minimal_curve(self):
         t = uniform_params(3)
-        d = derivative(SampledCurve(t, np.stack([t, t, t], axis=1)))
+        d = derivative(np.stack([t, t, t], axis=1), t)
         assert d.shape == (3, 3)
 
 

@@ -3,8 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from curvemorph.basis import build_basis, evaluate, smooth
-from curvemorph.curvetools import SampledCurve, arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
+from curvemorph.basis import build_basis
+from curvemorph.curvetools import arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import (
     _preprocess,
@@ -21,9 +21,10 @@ from curvemorph.pipelines import (
     superimpose,
 )
 from curvemorph.simgen import SimConfig, generate_replicate
-from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, rotation_align_srvf, soft_warp, to_srvf, warp_action
+from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, soft_warp, to_srvf
 
 from helpers import phase_family, score_rel, separated_mode_family
+from oracles import evaluate, rotation_align_srvf, smooth, warp_action
 
 
 class TestIdsAndSettings:
@@ -186,7 +187,7 @@ def _align_amplitude_loop(self, pts: np.ndarray) -> np.ndarray:
     lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
     k_reg = _registration_basis_size(self.settings, pts.shape[0])
     smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
-    q = to_srvf(SampledCurve(self.grid.copy(), smoothed[0]))
+    q = SrvfCurve(self.grid.copy(), to_srvf(smoothed[0], self.grid))
     # Two rotation/warp alternations; the second rotation sees
     # warp-corrected correspondence.
     q_rot, _ = rotation_align_srvf(q, self.template)
@@ -197,7 +198,7 @@ def _align_amplitude_loop(self, pts: np.ndarray) -> np.ndarray:
     if alpha < 1.0:
         warp = soft_warp(warp, alpha)
     aligned = warp_action(q_rot, warp)
-    return _recenter(from_srvf(aligned, np.zeros(3)).values)
+    return _recenter(from_srvf(aligned.q, aligned.params))
 
 
 class TestHeldOutAlignmentMatchesObjectLoopOracle:
