@@ -2,12 +2,16 @@
 
 Run from the repository root (no install step; ``src/`` goes on the path):
 
-    python3 scripts/output_digests.py
+    python3 scripts/output_digests.py [--check scripts/output_digests.expected]
 
 Prints one line per check set: its name, the CLI exit code, the number of
 ``*.csv``/``*.svg`` files it wrote, and the first 16 hex digits of the
 sha256 of their sorted ``sha256sum``-style listing.  Two checkouts whose
-lines agree wrote byte-identical outputs.
+lines agree wrote byte-identical outputs.  With ``--check FILE`` the
+script also compares each line with the line of the same set in FILE,
+names on standard error every set whose line differs (or is missing from
+FILE), and exits 1 if any does.  ``scripts/output_digests.expected``
+holds the lines of the current seeded outputs.
 
 The sets are the four benchmark workloads on their seed-1 inputs (inputs
 and CLI arguments taken from ``perfbench/run.py``), plus
@@ -20,6 +24,7 @@ directory that is removed at exit.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -47,31 +52,45 @@ def digest(out: Path) -> tuple[int, str]:
     return len(files), hashlib.sha256(listing.encode()).hexdigest()[:16]
 
 
-def check(name: str, argv: list[str], out: Path) -> None:
+def check(name: str, argv: list[str], out: Path) -> str:
+    """Run one CLI command, print its line and return it."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     n_files, hexdigest = digest(out)
-    print(f"{name}: exit {code}, {n_files} files, {hexdigest}", flush=True)
+    line = f"{name}: exit {code}, {n_files} files, {hexdigest}"
+    print(line, flush=True)
+    return line
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", type=Path, metavar="FILE", help="exit 1 unless every line equals its set's line in FILE")
+    args = parser.parse_args(argv)
+    lines = {}
     with tempfile.TemporaryDirectory(prefix="output-digests-") as tmp:
         work = Path(tmp)
         for name, workload in perfbench.WORKLOADS.items():
             data = perfbench.write_inputs(workload.make_inputs(SEED), work / name / "data")
             out = work / name / "out"
-            check(name, workload.argv(data, out, SEED), out)
+            lines[name] = check(name, workload.argv(data, out, SEED), out)
 
         sim = work / "sim11"
         sim.mkdir()
         for rep in range(2):
             cli.write_landmark_csv(sim / f"rep{rep}.csv", generate_replicate(SIM, rep))
         common = ["--pipelines", "all", "--seed", str(SIM.seed)]
-        check("sim11-run", ["run", "--data", f"{sim / 'rep0.csv'},{sim / 'rep1.csv'}",
-                            "--out", str(work / "sim11-run"), *common], work / "sim11-run")
-        check("sim11-classify", ["classify", "--data", str(sim / "rep0.csv"),
-                                 "--out", str(work / "sim11-classify"), *common, "--svg"], work / "sim11-classify")
-    return 0
+        lines["sim11-run"] = check("sim11-run", ["run", "--data", f"{sim / 'rep0.csv'},{sim / 'rep1.csv'}",
+                                                 "--out", str(work / "sim11-run"), *common], work / "sim11-run")
+        lines["sim11-classify"] = check("sim11-classify", ["classify", "--data", str(sim / "rep0.csv"),
+                                                           "--out", str(work / "sim11-classify"), *common, "--svg"],
+                                        work / "sim11-classify")
+    if args.check is None:
+        return 0
+    expected = {line.split(": ", 1)[0]: line for line in args.check.read_text().splitlines() if line.strip()}
+    differ = [name for name, line in lines.items() if expected.get(name) != line]
+    for name in differ:
+        print(f"differs from {args.check}: {name} (expected {expected.get(name, 'no line')!r})", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

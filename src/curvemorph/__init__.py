@@ -10,7 +10,7 @@ validation, plus a seeded helix simulation harness, round out the toolkit.
 """
 
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation
-from curvemorph.curvetools import SampledCurve, arclength_reparameterise, cumulative_arclength, derivative, resample_uniform
+from curvemorph.curvetools import derivative, reparameterise_arclength, resample_uniform
 from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, soft_warp, to_srvf
 from curvemorph.basis import BSplineBasis, build_basis
 from curvemorph.fpca import MfpcaModel, UnivariateFpcaModel, mfpca, mfpca_project, select_components, ufpca
@@ -27,10 +27,8 @@ __all__ = [
     "centroid_size",
     "optimal_rotation",
     "gpa",
-    "SampledCurve",
     "derivative",
-    "cumulative_arclength",
-    "arclength_reparameterise",
+    "reparameterise_arclength",
     "resample_uniform",
     "SrvfCurve",
     "WarpingFunction",

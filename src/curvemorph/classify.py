@@ -280,9 +280,11 @@ def cross_validate(
     labels = np.array([c.label for c in configs])
     if any(lbl is None for lbl in labels):
         raise ValueError("all specimens need labels for cross validation")
-    classes = np.unique(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     if classes.size < 2:
         raise ValueError("cross validation needs at least 2 classes")
+    if counts.min() < 2:
+        raise ValueError(f"label {str(classes[counts.argmin()])!r} has 1 specimen; cross validation needs at least 2 per class")
     folds = stratified_kfold(labels, seed=seed)
 
     per_fold = np.zeros(N_FOLDS)

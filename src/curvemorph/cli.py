@@ -16,6 +16,7 @@ import csv
 import glob
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -475,8 +476,12 @@ def cmd_classify(args) -> int:
     for rep_name, configs in replicates:
         if any(c.label is None for c in configs):
             raise InputError(f"{rep_name}: specimens without labels; provide --labels")
-        if len({c.label for c in configs}) < 2:
+        counts = Counter(c.label for c in configs)
+        if len(counts) < 2:
             raise InputError(f"{rep_name}: all specimens share one label; classification needs at least 2 classes")
+        lone = ", ".join(f"label {label!r} has 1 specimen" for label, n in counts.items() if n < 2)
+        if lone:
+            raise InputError(f"{rep_name}: {lone}; cross validation needs at least 2 specimens per class")
     out = _out_dir(values)
 
     tasks = [(rep, pid, clf) for rep, _ in replicates for pid in pipelines for clf in classifiers]

@@ -1,44 +1,20 @@
-"""Discrete 3D curve utilities: derivatives, arc length, resampling, reparameterisation."""
+"""Discrete 3D curve utilities on (K, N, 3) stacks: derivatives, resampling, arc-length reparameterisation."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class SampledCurve:
-    """A 3D curve sampled at strictly increasing parameters on [0, 1]."""
+class DegenerateCurveError(ValueError):
+    """Curves of zero length in a stack; ``rows`` holds their indices."""
 
-    params: np.ndarray  # (M,), params[0] == 0, params[-1] == 1
-    values: np.ndarray  # (M, 3)
-
-    def __post_init__(self):
-        t = np.asarray(self.params, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 2 or v.shape != (t.shape[0], 3):
-            raise ValueError(f"params/values shape mismatch: {t.shape} vs {v.shape}")
-        if t.shape[0] < 3:
-            raise ValueError("curve needs at least 3 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("non-finite curve data")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("params must be strictly increasing")
-        if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
-            raise ValueError("params must start at 0 and end at 1")
-        self.params = t
-        self.values = v
+    def __init__(self, rows: list[int]):
+        super().__init__("degenerate curve: row " + ", ".join(map(str, rows)))
+        self.rows = rows
 
 
 def uniform_params(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
-
-
-def curve_from_points(points: np.ndarray) -> SampledCurve:
-    """Wrap an ordered point matrix as a curve on the uniform index grid."""
-    points = np.asarray(points, dtype=float)
-    return SampledCurve(uniform_params(points.shape[0]), points)
 
 
 def derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -46,64 +22,122 @@ def derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.gradient(values, t, axis=-2, edge_order=1)
 
 
-def cumulative_arclength(curve: SampledCurve) -> np.ndarray:
-    """Cumulative chord length s with s[0] = 0 and s[-1] = total length.
+def _cumulative_chords(values: np.ndarray) -> np.ndarray:
+    """(K, M) cumulative polygon lengths of (K, M, 3) curves, each row starting at 0."""
+    seg = np.linalg.norm(np.diff(values, axis=1), axis=2)
+    return np.concatenate([np.zeros((seg.shape[0], 1)), np.cumsum(seg, axis=1)], axis=1)
 
-    Summing polyline segment lengths is exact for the piecewise-linear
-    interpretation used throughout.
+
+def _spaced(total: np.ndarray, m: int) -> np.ndarray:
+    """``np.linspace(0.0, total[k], m)`` for every row k, bitwise."""
+    x = np.arange(m, dtype=float) * (total / (m - 1))[:, None]
+    x[:, -1] = total
+    return x
+
+
+def _searchsorted_rows(xp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(xp[k], x[k], side="right")`` for every row k of two row-wise ascending arrays.
+
+    One stable sort of each row of ``[xp, x]`` merges the two: an ``xp``
+    entry equal to an ``x`` entry sorts before it, and the ``x`` entries
+    keep their order, so the rank of ``x[k, i]`` less ``i`` counts the
+    ``xp[k]`` entries at or below it.
     """
-    seg = np.linalg.norm(np.diff(curve.values, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    order = np.argsort(np.concatenate([xp, x], axis=1), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[1]), axis=1)
+    return rank[:, xp.shape[1]:] - np.arange(x.shape[1])
 
 
-def _interp_columns(x_new: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.interp(x_new, x, values[:, j]) for j in range(values.shape[1])])
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``np.interp(x[k], xp[k], fp[k])`` for every row k, bitwise.
 
-
-def arclength_reparameterise(curve: SampledCurve, m: int) -> SampledCurve:
-    """Resample the curve towards constant speed: ``m`` points of nearly equal chords.
-
-    Output sits on ``m`` uniform parameters.  The first pass places point i
-    on the input polyline (by monotone linear interpolation) where the
-    cumulative arc length reaches i/(m-1) of the total; each further round
-    re-spaces the nodes by the arc length of the polygon through them, which
-    moves the chords towards equal length.  The rounds stop once no node
-    moves by 1e-14 or more, or after 60 rounds: on noisy polylines they can
-    stop short of equal chords, and the iteration need not converge at all.
-    Every output point lies on the input polyline, and the endpoints are
-    exact.
+    ``x`` is (K, m); ``xp`` is (K, N), or (N,) shared by every row, and
+    ascending, with ``x >= xp[..., :1]``; ``fp`` is (K, N) or (K, N, 3);
+    ``j`` is the last index with ``xp[k, j] <= x``.  As in ``np.interp``, a
+    point on a node takes that node's value, a point at or past the last
+    node takes the last value, and any other point takes
+    ``slope * (x - xp[j]) + fp[j]`` with
+    ``slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``.
     """
+    k, n = fp.shape[:2]
+    inner = j < n - 1
+    flat = j + n * np.arange(k)[:, None]
+    xi = j if xp.ndim == 1 else flat
+    x0, x1 = xp.reshape(-1)[xi], xp.reshape(-1)[xi + inner]
+    fp = fp.reshape(k * n, *fp.shape[2:])
+    y0, y1 = fp[flat], fp[flat + inner]
+    on_node = (x == x0) | ~inner
+    if y0.ndim == 3:  # one column per coordinate
+        x, x0, x1, on_node = x[..., None], x0[..., None], x1[..., None], on_node[..., None]
+    # The zero-width step at the last node gives 0/0; np.where discards it.
+    with np.errstate(invalid="ignore"):
+        return np.where(on_node, y0, (y1 - y0) / (x1 - x0) * (x - x0) + y0)
+
+
+def _on_polyline(t: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(K, m, 3) points at parameters t (K, m) of the (K, N, 3) polylines on their uniform index grids."""
+    params = uniform_params(points.shape[1])
+    return _interp_rows(t, params, points, np.searchsorted(params, t, side="right") - 1)
+
+
+def reparameterise_arclength(points: np.ndarray, m: int) -> np.ndarray:
+    """Resample every curve of a (K, N, 3) stack towards constant speed: (K, m, 3), nearly equal chords.
+
+    Each curve sits on the N uniform parameters of [0, 1] and each output on
+    m.  The first pass places point i on the input polyline (by monotone
+    linear interpolation) where the cumulative arc length reaches i/(m-1) of
+    the total; each further round re-spaces the nodes by the arc length of
+    the polygon through them, which moves the chords towards equal length.
+    A curve stops once no node moves by 1e-14 or more, or when its polygon
+    has no length, and every curve stops after 60 rounds: on noisy
+    polylines the rounds can stop short of equal chords, and the iteration
+    need not converge at all.  Every output point lies on the input
+    polyline, and the endpoints are exact.  Curves of zero length raise
+    ``DegenerateCurveError`` naming their rows.
+    """
+    points = np.asarray(points, dtype=float)
     if m < 3:
         raise ValueError("m must be at least 3")
-    s = cumulative_arclength(curve)
-    total = s[-1]
-    if total <= 0.0:
-        raise ValueError("degenerate curve")
+    s = _cumulative_chords(points)
+    degenerate = np.flatnonzero(s[:, -1] <= 0.0)
+    if degenerate.size:
+        raise DegenerateCurveError(degenerate.tolist())
 
-    t_nodes = np.interp(np.linspace(0.0, total, m), s, curve.params)
+    x = _spaced(s[:, -1], m)
+    params = np.broadcast_to(uniform_params(points.shape[1]), s.shape)
+    t_nodes = _interp_rows(x, s, params, _searchsorted_rows(s, x) - 1)
+    active = np.arange(points.shape[0])
+    t, pts = t_nodes, points
     for _ in range(60):
-        values = _interp_columns(t_nodes, curve.params, curve.values)
-        seg = np.linalg.norm(np.diff(values, axis=0), axis=1)
-        s_m = np.concatenate([[0.0], np.cumsum(seg)])
-        if s_m[-1] <= 0.0:
+        s_m = _cumulative_chords(_on_polyline(t, pts))
+        x = _spaced(s_m[:, -1], m)
+        t_new = _interp_rows(x, s_m, t, _searchsorted_rows(s_m, x) - 1)
+        no_length = s_m[:, -1] <= 0.0
+        t_new[no_length] = t[no_length]
+        done = no_length | (np.max(np.abs(t_new - t), axis=1) < 1e-14)
+        t_nodes[active] = t_new
+        keep = ~done
+        active, t, pts = active[keep], t_new[keep], pts[keep]
+        if active.size == 0:
             break
-        t_new = np.interp(np.linspace(0.0, s_m[-1], m), s_m, t_nodes)
-        shift = np.max(np.abs(t_new - t_nodes))
-        t_nodes = t_new
-        if shift < 1e-14:
-            break
-    new_values = _interp_columns(t_nodes, curve.params, curve.values)
-    new_values[0] = curve.values[0]
-    new_values[-1] = curve.values[-1]
-    return SampledCurve(uniform_params(m), new_values)
+    values = _on_polyline(t_nodes, points)
+    values[:, 0] = points[:, 0]
+    values[:, -1] = points[:, -1]
+    return values
 
 
-def resample_uniform(curve: SampledCurve, m: int) -> SampledCurve:
-    """Linear interpolation onto m uniform parameters in the original parameterisation."""
+def resample_uniform(points: np.ndarray, m: int) -> np.ndarray:
+    """Linear interpolation of (K, N, 3) curves onto m uniform parameters in the original parameterisation.
+
+    A stack already on m points is returned as it is.
+    """
+    points = np.asarray(points, dtype=float)
     if m < 3:
         raise ValueError("m must be at least 3")
-    grid = uniform_params(m)
-    new_values = _interp_columns(grid, curve.params, curve.values)
-    new_values[0] = curve.values[0]
-    new_values[-1] = curve.values[-1]
-    return SampledCurve(grid, new_values)
+    if points.shape[1] == m:
+        return points
+    values = _on_polyline(np.broadcast_to(uniform_params(m), (points.shape[0], m)), points)
+    values[:, 0] = points[:, 0]
+    values[:, -1] = points[:, -1]
+    return values

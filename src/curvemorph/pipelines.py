@@ -19,12 +19,13 @@ relies on.
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from curvemorph.basis import build_basis, fit_coefficients
-from curvemorph.curvetools import arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
+from curvemorph.curvetools import DegenerateCurveError, reparameterise_arclength, resample_uniform, uniform_params
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
 from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, gpa, optimal_rotation
 from curvemorph.pca import PcaModel, flatten_configurations, pca_fit, pca_project, pca_reconstruct
@@ -140,29 +141,40 @@ def _select_k95(pipeline_id: str, eigenvalues: np.ndarray, values: np.ndarray, t
     return select_components(eigenvalues, threshold)
 
 
-def _preprocess(config: LandmarkConfiguration, settings: PipelineSettings, arc: bool) -> np.ndarray:
-    """Common-grid point matrix for one specimen: resampled or arc-reparameterised.
+# Grid points per (coordinate bytes, landmark count, n_points, arc), read-only,
+# least recently used first.
+_grid_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_GRID_CACHE_SIZE = 1024
+
+
+def _preprocess(configs: list[LandmarkConfiguration], settings: PipelineSettings, arc: bool) -> np.ndarray:
+    """(K, n_points, 3) common-grid points of the specimens: resampled or arc-reparameterised.
 
     Computed once per process for each distinct specimen and grid, and
-    shared read-only by every fold, classifier and pipeline that asks.
+    shared read-only by every fold, classifier and pipeline that asks; the
+    specimens missing from the cache are computed in one batched call.
     """
-    return _grid_points(config.points.tobytes(), config.n_landmarks, settings.n_points, arc)
-
-
-@functools.lru_cache(maxsize=1024)
-def _grid_points(points_bytes: bytes, n_landmarks: int, n_points: int, arc: bool) -> np.ndarray:
-    """``_preprocess`` keyed on the specimen's coordinate bytes; the result is read-only."""
-    # A view of the immutable key bytes: read-only, and returned as is when
-    # the specimen already has n_points landmarks.
-    points = np.frombuffer(points_bytes).reshape(n_landmarks, 3)
-    if arc:
-        values = arclength_reparameterise(curve_from_points(points), n_points).values
-    elif n_landmarks == n_points:
-        return points
-    else:
-        values = resample_uniform(curve_from_points(points), n_points).values
-    values.flags.writeable = False
-    return values
+    keys = [(c.points.tobytes(), c.n_landmarks, settings.n_points, arc) for c in configs]
+    misses = {key: config for key, config in zip(keys, configs) if key not in _grid_cache}
+    if misses:
+        missed = list(misses.values())
+        stack = np.stack([c.points for c in missed])
+        if arc:
+            try:
+                stack = reparameterise_arclength(stack, settings.n_points)
+            except DegenerateCurveError as exc:
+                ids = ", ".join(missed[row].specimen_id for row in exc.rows)
+                raise ValueError(f"degenerate curve: specimen {ids}") from exc
+        else:
+            stack = resample_uniform(stack, settings.n_points)
+        stack.flags.writeable = False
+        _grid_cache.update(zip(misses, stack))
+    for key in keys:
+        _grid_cache.move_to_end(key)
+    points = np.stack([_grid_cache[key] for key in keys])
+    while len(_grid_cache) > _GRID_CACHE_SIZE:
+        _grid_cache.popitem(last=False)
+    return points
 
 
 def _registration_basis_size(settings: PipelineSettings, m_in: int) -> int:
@@ -280,7 +292,7 @@ class FittedPipeline:
 
     def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
         """Scores of held-out specimens through the trained transforms, without refitting."""
-        pts = [_preprocess(c, self.settings, self.chain.arc) for c in configs]
+        pts = _preprocess(configs, self.settings, self.chain.arc)
         if self.consensus is not None:
             pts = [align_to_reference(p, self.consensus) for p in pts]
         if self.chain.backbone == "gm":
@@ -304,7 +316,7 @@ class FittedPipeline:
 
 
 def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
-    targets = np.stack([_preprocess(c, settings, chain.arc) for c in configs])
+    targets = _preprocess(configs, settings, chain.arc)
     result = gpa(targets)
     flat = flatten_configurations(result.aligned)
     model = pca_fit(flat)
@@ -318,7 +330,7 @@ def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration]
 
 def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
     grid = uniform_params(settings.n_points)
-    pts = [_preprocess(c, settings, chain.arc) for c in configs]
+    pts = _preprocess(configs, settings, chain.arc)
     smoothed, noise_covs = _smooth_stack(pts, settings, grid)
     # The univariate step both corrects the spectrum for smoothing-propagated
     # measurement noise and downgrades the retained components by the same
@@ -331,7 +343,7 @@ def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration
 
 
 def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
-    pts = np.stack([_preprocess(c, settings, chain.arc) for c in configs])
+    pts = _preprocess(configs, settings, chain.arc)
     result = gpa(pts)
     grid = uniform_params(settings.n_points)
     # Smooth before differentiating: SRVFs of raw noisy polylines are

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvemorph.basis import ORDER, build_basis
-from curvemorph.curvetools import SampledCurve, uniform_params
+from curvemorph.curvetools import uniform_params
 
-from oracles import evaluate, smooth
+from oracles import SampledCurve, evaluate, smooth
 
 
 def curve_of(fn, m=30):

@@ -316,6 +316,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="at least 2 classes"):
             cross_validate(configs, "GM", "svm")
 
+    def test_one_specimen_class_is_rejected(self):
+        configs = [LandmarkConfiguration(c.specimen_id, c.points, "B" if i == 4 else "A") for i, c in enumerate(simulated_configs())]
+        with pytest.raises(ValueError, match="^label 'B' has 1 specimen; cross validation needs at least 2 per class$"):
+            cross_validate(configs, "GM", "svm")
+
 
 class TestPredictionInvariances:
     @settings(max_examples=10, deadline=None)

@@ -73,7 +73,9 @@ class TestExitTail:
     )
     def test_every_task_failed(self, tmp_path, capsys, command, message):
         data = tmp_path / "tiny.csv"
-        write_dataset(data, small_dataset(seed=1, sizes=(3, 3, 3, 3), n_points=10)[2:5])  # labels G1, G2, G2
+        # run: 3 specimens (labels G1, G2, G2); classify: 4 (G1, G1, G2, G2), as a class needs 2 specimens.
+        rows = slice(2, 5) if command == "run" else slice(1, 5)
+        write_dataset(data, small_dataset(seed=1, sizes=(3, 3, 3, 3), n_points=10)[rows])
         out = tmp_path / "o"
         argv = [command, "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]
         if command == "classify":
@@ -207,7 +209,7 @@ class TestPreprocessCache:
         # the first run filled.
         data = tmp_path / "replicate_000.csv"
         write_dataset(data, small_dataset(seed=10, sizes=(4, 4, 4, 4), n_points=15))
-        pipelines._grid_points.cache_clear()
+        pipelines._grid_cache.clear()
         outs = []
         for run in ("cold", "warm"):
             out = tmp_path / run
@@ -251,20 +253,39 @@ class TestThreadsOptionRemoved:
         assert "unknown key 'threads'" in capsys.readouterr().err
 
 
+class TestDegenerateCurve:
+    def test_arc_chain_names_the_zero_length_specimen(self, tmp_path, capsys):
+        # GPA rejects the zero-size specimen too, so the GM task of its
+        # replicate fails on its own terms; replicate b holds no such specimen.
+        configs = small_dataset(seed=6, sizes=(4, 4, 4, 4))
+        bad = configs[7]
+        configs[7] = LandmarkConfiguration(bad.specimen_id, np.full_like(bad.points, 0.25), bad.label)
+        write_dataset(tmp_path / "a.csv", configs)
+        write_dataset(tmp_path / "b.csv", small_dataset(seed=7, sizes=(4, 4, 4, 4)))
+        out = tmp_path / "o"
+        args = ["run", "--data", f"{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}", "--out", str(out), "--pipelines", "ArcGM,GM"]
+        assert main(args) == 4
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert failures == [f"a/ArcGM: ArcGM: degenerate curve: specimen {bad.specimen_id}", "a/GM: GM: zero centroid size"]
+        assert capsys.readouterr().err == "partial failure:\n  " + "\n  ".join(failures) + "\n"
+        with open(out / "mse.csv") as fh:
+            assert [r["pipeline"] for r in csv.DictReader(fh)] == ["ArcGM", "GM"]
+
+
 @pytest.fixture
 def arc_calls(monkeypatch):
-    """Counts arc-length reparameterisations made by the pipelines, from an empty cache."""
+    """The number of curves in each batched arc-length call the pipelines make, from an empty cache."""
     calls = []
-    real = pipelines.arclength_reparameterise
+    real = pipelines.reparameterise_arclength
 
-    def counted(curve, m):
-        calls.append(m)
-        return real(curve, m)
+    def counted(points, m):
+        calls.append(len(points))
+        return real(points, m)
 
-    pipelines._grid_points.cache_clear()
-    monkeypatch.setattr(pipelines, "arclength_reparameterise", counted)
+    pipelines._grid_cache.clear()
+    monkeypatch.setattr(pipelines, "reparameterise_arclength", counted)
     yield calls
-    pipelines._grid_points.cache_clear()
+    pipelines._grid_cache.clear()
 
 
 class TestPreprocessOnce:
@@ -275,7 +296,7 @@ class TestPreprocessOnce:
         args = ["classify", "--data", str(data), "--out", str(tmp_path / "o"), "--seed", "0",
                 "--pipelines", "ArcFDM", "--classifiers", "lda,multinomial,svm", "--svg"]
         assert main(args) == 0
-        assert len(arc_calls) == len(configs)
+        assert sum(arc_calls) == len(configs)
 
     def test_run_shares_the_arc_step_across_pipelines(self, tmp_path, arc_calls):
         configs = small_dataset(seed=11)
@@ -283,7 +304,7 @@ class TestPreprocessOnce:
         write_dataset(data, configs)
         args = ["run", "--data", str(data), "--out", str(tmp_path / "o"), "--pipelines", "ArcGM,ArcFDM"]
         assert main(args) == 0
-        assert len(arc_calls) == len(configs)
+        assert arc_calls == [len(configs)]
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +379,16 @@ class TestClassify:
         out = tmp_path / "o"
         assert main(["classify", "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]) == 2
         assert "d: all specimens share one label" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_specimen_class_is_an_input_error(self, tmp_path, capsys):
+        configs = small_dataset(seed=2, sizes=(3, 3, 3, 3), n_points=12)
+        configs = [LandmarkConfiguration(c.specimen_id, c.points, "B" if i == 4 else "A") for i, c in enumerate(configs)]
+        data = tmp_path / "d.csv"
+        write_dataset(data, configs)
+        out = tmp_path / "o"
+        assert main(["classify", "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]) == 2
+        assert "d: label 'B' has 1 specimen; cross validation needs at least 2 specimens per class" in capsys.readouterr().err
         assert not out.exists()
 
     def test_svg_emission(self, tmp_path):

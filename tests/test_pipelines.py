@@ -3,10 +3,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from curvemorph import pipelines
 from curvemorph.basis import build_basis
-from curvemorph.curvetools import arclength_reparameterise, curve_from_points, resample_uniform, uniform_params
+from curvemorph.curvetools import uniform_params
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import (
+    _GRID_CACHE_SIZE,
+    _grid_cache,
     _preprocess,
     _recenter,
     _registration_basis_size,
@@ -24,7 +27,7 @@ from curvemorph.simgen import SimConfig, generate_replicate
 from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, soft_warp, to_srvf
 
 from helpers import phase_family, score_rel, separated_mode_family
-from oracles import evaluate, rotation_align_srvf, smooth, warp_action
+from oracles import arclength_reparameterise, curve_from_points, evaluate, resample_uniform, rotation_align_srvf, smooth, warp_action
 
 
 class TestIdsAndSettings:
@@ -292,18 +295,33 @@ class TestSmoothStackMatchesLoopOracle:
 class TestPreprocessCache:
     @pytest.mark.parametrize("arc,m", [(True, 40), (False, 40), (False, 25)])
     def test_cached_points_are_read_only_and_equal_to_a_fresh_computation(self, arc, m):
-        config = phase_family(n=1, m=m, power=2.0)[0]
+        configs = phase_family(n=3, m=m, power=2.0)
         settings = PipelineSettings(n_points=40)
-        cached = _preprocess(config, settings, arc)
-        curve = curve_from_points(config.points)
-        if arc:
-            fresh = arclength_reparameterise(curve, 40).values
-        elif m == 40:
-            fresh = config.points
-        else:
-            fresh = resample_uniform(curve, 40).values
-        assert np.array_equal(cached, fresh)
-        assert not np.shares_memory(cached, config.points)
-        assert _preprocess(config, settings, arc) is cached
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 1.0
+        points = _preprocess(configs, settings, arc)
+        for config, row in zip(configs, points):
+            cached = _grid_cache[(config.points.tobytes(), config.n_landmarks, 40, arc)]
+            curve = curve_from_points(config.points)
+            if arc:
+                fresh = arclength_reparameterise(curve, 40).values
+            elif m == 40:
+                fresh = config.points
+            else:
+                fresh = resample_uniform(curve, 40).values
+            assert np.array_equal(cached, fresh)
+            assert np.array_equal(row, fresh)
+            assert not np.shares_memory(cached, config.points)
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+        # A second call reads every specimen from the cache.
+        with mock.patch.object(pipelines, "reparameterise_arclength", side_effect=AssertionError), \
+                mock.patch.object(pipelines, "resample_uniform", side_effect=AssertionError):
+            assert np.array_equal(_preprocess(configs, settings, arc), points)
+
+    def test_cache_stays_within_its_bound(self):
+        rng = np.random.default_rng(0)
+        configs = [LandmarkConfiguration(f"s{i}", rng.normal(size=(4, 3)), None) for i in range(_GRID_CACHE_SIZE + 100)]
+        points = _preprocess(configs, PipelineSettings(n_points=5), arc=False)
+        assert points.shape == (len(configs), 5, 3)
+        assert len(_grid_cache) == _GRID_CACHE_SIZE
+        assert (configs[-1].points.tobytes(), 4, 5, False) in _grid_cache
+        assert (configs[0].points.tobytes(), 4, 5, False) not in _grid_cache

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
 from curvemorph import srvf
-from curvemorph.curvetools import SampledCurve, uniform_params
+from curvemorph.curvetools import uniform_params
 from curvemorph.srvf import (
     _DP_STEPS,
     _l2_norm_sq,
@@ -23,7 +23,7 @@ from curvemorph.srvf import (
     to_srvf,
 )
 
-from oracles import elastic_distance_sq, rotation_align_srvf, warp_action
+from oracles import SampledCurve, elastic_distance_sq, rotation_align_srvf, warp_action
 
 
 def helix_curve(m, power=1.0):
