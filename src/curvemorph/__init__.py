@@ -9,7 +9,7 @@ multinomial logistic regression, linear SVM) under stratified cross
 validation, plus a seeded helix simulation harness, round out the toolkit.
 """
 
-from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation
+from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation, superimpose
 from curvemorph.curvetools import derivative, reparameterise_arclength, resample_uniform
 from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, soft_warp, to_srvf
 from curvemorph.basis import BSplineBasis, build_basis
@@ -27,6 +27,7 @@ __all__ = [
     "centroid_size",
     "optimal_rotation",
     "gpa",
+    "superimpose",
     "derivative",
     "reparameterise_arclength",
     "resample_uniform",

@@ -88,7 +88,7 @@ def read_landmark_csv(path: Path) -> list[LandmarkConfiguration]:
                 elif label != by_specimen[sid][0]:
                     raise InputError(f"{path}:{lineno}: specimen {sid}: label {label!r} differs from {by_specimen[sid][0]!r}")
                 by_specimen[sid][1].append(entry)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
     configs = []
@@ -128,7 +128,7 @@ def read_labels_csv(path: Path) -> dict[str, str]:
                     raise InputError(f"{path}:{lineno}: specimen {row[0]} listed twice")
                 labels[row[0]] = row[1]
             return labels
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -188,7 +188,7 @@ def read_config_file(path: str) -> dict:
                     values[key] = _OPTIONS[key][0](raw.strip())
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     return values
 

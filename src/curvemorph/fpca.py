@@ -170,15 +170,12 @@ def mfpca_project(model: MfpcaModel, new_samples: list[np.ndarray] | np.ndarray)
 def mfpca_reconstruct(model: MfpcaModel, scores: np.ndarray, k: int) -> np.ndarray:
     """Truncated Karhunen-Loeve curves: mean + sum of k leading score-weighted eigenfunctions.
 
-    Returns an (n, M, 3) array.
+    (..., K) scores give (..., M, 3) curves.
     """
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    scores = np.asarray(scores, dtype=float)
     if not 0 <= k <= model.eigenvalues.shape[0]:
         raise ValueError("component count out of range")
-    out = np.repeat(model.mean_functions[None, :, :], scores.shape[0], axis=0)
-    for p in range(3):
-        out[:, :, p] += scores[:, :k] @ model.eigenfunctions[p][:k]
-    return out
+    return model.mean_functions + np.stack([scores[..., :k] @ f[:k] for f in model.eigenfunctions], axis=-1)
 
 
 def select_components(eigenvalues: np.ndarray, threshold: float = 0.95) -> int:

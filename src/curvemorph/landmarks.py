@@ -1,4 +1,4 @@
-"""Landmark configuration algebra: centering, centroid size, Procrustes alignment."""
+"""Landmark configuration algebra on (..., N, 3) stacks: centering, centroid size, Procrustes alignment."""
 
 from __future__ import annotations
 
@@ -51,47 +51,65 @@ class ProcrustesResult:
     degenerate: bool = field(default=False)
 
 
+class ZeroCentroidSizeError(ValueError):
+    """Configurations of zero centroid size in a stack; ``rows`` holds their indices."""
+
+    def __init__(self, rows: list[int]):
+        super().__init__("zero centroid size: row " + ", ".join(map(str, rows)))
+        self.rows = rows
+
+
 def center(points: np.ndarray) -> np.ndarray:
-    """Translate a configuration so its centroid sits at the origin."""
+    """Translate each (..., N, 3) configuration so its centroid sits at the origin."""
     points = np.asarray(points, dtype=float)
-    return points - points.mean(axis=0)
+    return points - points.mean(axis=-2, keepdims=True)
 
 
-def centroid_size(config: LandmarkConfiguration | np.ndarray) -> float:
-    """Square root of the summed squared deviations of landmarks from their centroid."""
-    pts = config.points if isinstance(config, LandmarkConfiguration) else np.asarray(config, dtype=float)
-    size = float(np.sqrt(np.sum(center(pts) ** 2)))
-    if size == 0.0:
-        raise ValueError("zero centroid size")
-    return size
+def centroid_size(points: np.ndarray) -> np.ndarray:
+    """Root summed squared deviations of landmarks from their centroid, per (..., N, 3) configuration; rejects size zero."""
+    sizes = np.sqrt(np.sum(center(points) ** 2, axis=(-2, -1)))
+    zero = np.flatnonzero(sizes == 0.0)
+    if zero.size:
+        raise ZeroCentroidSizeError(zero.tolist())
+    return sizes
 
 
-def optimal_rotation(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Rotation R (det +1) minimizing ||source @ R - target||_F over rotations.
+def optimal_rotation(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations R (det +1) minimizing ||source @ R - target||_F, per (..., N, 3) configuration pair.
 
-    Both inputs must be centered.  Reflections are excluded; a rank-deficient
-    cross-covariance with an ambiguous minimizer is flagged via the second
-    return value.
+    Both inputs must be centered; their leading axes broadcast.  Reflections
+    are excluded; a rank-deficient cross-covariance with an ambiguous
+    minimizer is flagged, per pair, in the second return value.
     """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
-    if source.shape != target.shape or source.shape[0] < 3:
+    if source.ndim < 2 or source.shape[-2:] != target.shape[-2:] or source.shape[-2] < 3 or source.shape[-1] != 3:
         raise ValueError("source and target must be equal N x 3 with N >= 3")
-    h = source.T @ target
+    h = np.swapaxes(source, -1, -2) @ target
     u, s, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(u @ vt))
-    if d == 0:
-        d = 1.0
-    r = u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., -1] *= np.where(d == 0, 1.0, d)[..., None]  # u @ diag(1, 1, d): no reflection
+    r = u @ vt
     # Ambiguity: smallest singular value (after sign fix) indistinguishable
     # from its neighbour or zero means several rotations tie.
-    degenerate = bool(s[-1] <= 1e-12 * max(s[0], 1e-300))
+    degenerate = s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1e-300)
     return r, degenerate
+
+
+def superimpose(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Full Procrustes fit (rotation + scale + translation) of each (..., N, 3) source onto its target."""
+    target = np.asarray(target, dtype=float)
+    src_c = center(source)
+    tgt_c = center(target)
+    r, _ = optimal_rotation(src_c, tgt_c)
+    denom = np.sum(src_c**2, axis=(-2, -1))
+    beta = np.divide(np.sum((src_c @ r) * tgt_c, axis=(-2, -1)), denom, out=np.ones_like(denom), where=denom > 0)
+    return beta[..., None, None] * src_c @ r + target.mean(axis=-2, keepdims=True)
 
 
 def _normalize(points: np.ndarray) -> np.ndarray:
     c = center(points)
-    return c / centroid_size(c)
+    return c / centroid_size(c)[..., None, None]
 
 
 def _canonical_frame(consensus: np.ndarray) -> np.ndarray:
@@ -130,18 +148,17 @@ def gpa(points: np.ndarray) -> ProcrustesResult:
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite landmark coordinates")
 
-    sizes = np.array([centroid_size(p) for p in points])
-    shapes = np.stack([_normalize(p) for p in points])
+    sizes = centroid_size(points)
+    shapes = _normalize(points)
 
     consensus = _normalize(shapes[0])
     converged = False
     iterations = 0
     degenerate = False
     for iterations in range(1, 101):
-        for i in range(shapes.shape[0]):
-            r, degen = optimal_rotation(shapes[i], consensus)
-            degenerate = degenerate or degen
-            shapes[i] = shapes[i] @ r
+        r, degen = optimal_rotation(shapes, consensus)
+        degenerate = degenerate or bool(degen.any())
+        shapes = shapes @ r
         new_consensus = _normalize(shapes.mean(axis=0))
         change = float(np.linalg.norm(new_consensus - consensus))
         consensus = new_consensus
@@ -165,7 +182,7 @@ def gpa(points: np.ndarray) -> ProcrustesResult:
 
 
 def align_to_reference(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Center, scale to unit centroid size, and rotate one configuration onto a reference.
+    """Center, scale to unit centroid size, and rotate each (..., N, 3) configuration onto a reference.
 
     Used to project held-out specimens onto a trained consensus without
     letting them influence it.

@@ -56,13 +56,10 @@ def pca_project(model: PcaModel, flattened: np.ndarray) -> np.ndarray:
     return (np.asarray(flattened, dtype=float) - model.mean_vector) @ model.loadings.T
 
 
-def pca_reconstruct(model: PcaModel, scores_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-k approximation added back to the mean, reshaped to N x 3.
-
-    Returns (reconstruction, consensus) where consensus is the mean shape.
-    """
-    scores_row = np.asarray(scores_row, dtype=float).ravel()
+def pca_reconstruct(model: PcaModel, scores: np.ndarray, k: int) -> np.ndarray:
+    """Rank-k approximations added back to the mean: (..., K) scores give (..., N, 3) configurations."""
+    scores = np.asarray(scores, dtype=float)
     if not 0 <= k <= model.k_max:
         raise ValueError("component count out of range")
-    vec = model.mean_vector + scores_row[:k] @ model.loadings[:k]
-    return vec.reshape(-1, 3), model.mean_vector.reshape(-1, 3)
+    vec = model.mean_vector + scores[..., :k] @ model.loadings[:k]
+    return vec.reshape(*vec.shape[:-1], -1, 3)

@@ -27,7 +27,7 @@ import numpy as np
 from curvemorph.basis import build_basis, fit_coefficients
 from curvemorph.curvetools import DegenerateCurveError, reparameterise_arclength, resample_uniform, uniform_params
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
-from curvemorph.landmarks import LandmarkConfiguration, align_to_reference, center, gpa, optimal_rotation
+from curvemorph.landmarks import LandmarkConfiguration, ZeroCentroidSizeError, align_to_reference, center, gpa, superimpose
 from curvemorph.pca import PcaModel, flatten_configurations, pca_fit, pca_project, pca_reconstruct
 from curvemorph.srvf import SrvfCurve, align_step, from_srvf, karcher_mean, to_srvf
 
@@ -109,20 +109,8 @@ class PipelineOutput:
     fitted: "FittedPipeline" = field(repr=False, default=None)
 
 
-def superimpose(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Full Procrustes fit (rotation + scale + translation) of source onto target."""
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    src_c = center(source)
-    tgt_c = center(target)
-    r, _ = optimal_rotation(src_c, tgt_c)
-    denom = float(np.sum(src_c**2))
-    beta = float(np.sum((src_c @ r) * tgt_c)) / denom if denom > 0 else 1.0
-    return beta * src_c @ r + target.mean(axis=0)
-
-
-def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray) -> float:
-    """Mean squared coordinate difference over all 3N entries, compared in place.
+def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
+    """Mean squared coordinate difference over the 3N entries of each (..., N, 3) configuration, compared in place.
 
     Reconstructions come out of ``FittedPipeline.reconstruct`` already
     superimposed on their targets; superimpose other inputs first.
@@ -131,7 +119,7 @@ def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray) -> float:
     reconstruction = np.asarray(reconstruction, dtype=float)
     if original.shape != reconstruction.shape:
         raise ValueError("shape mismatch")
-    return float(np.mean((original - reconstruction) ** 2))
+    return np.mean((original - reconstruction) ** 2, axis=(-2, -1))
 
 
 def _select_k95(pipeline_id: str, eigenvalues: np.ndarray, values: np.ndarray, threshold: float) -> int:
@@ -205,9 +193,9 @@ def _fit_coordinate_mfpca(
 
 
 def _smooth_stack(
-    points_stack: np.ndarray | list[np.ndarray], settings: PipelineSettings, grid: np.ndarray, n_basis: int | None = None
+    points_stack: np.ndarray, settings: PipelineSettings, grid: np.ndarray, n_basis: int | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Least-squares smooth every curve onto the grid.
+    """Least-squares smooth every curve of a (K, M_in, 3) stack onto the grid.
 
     Also returns, per coordinate, the covariance the fit propagates from
     i.i.d. measurement noise (sigma^2 estimated from the pooled smoothing
@@ -215,14 +203,14 @@ def _smooth_stack(
     downstream eigen-spectra.
     """
     k = n_basis if n_basis is not None else settings.n_basis
-    m_in = points_stack[0].shape[0]
+    m_in = points_stack.shape[1]
     design_in, design_out = _smoothing_designs(k, m_in, grid.tobytes())
     smoothed, rss = [], np.zeros(3)
     for pts in points_stack:
         coef = fit_coefficients(design_in, pts)
         smoothed.append(design_out @ coef)
         rss += np.sum((pts - design_in @ coef) ** 2, axis=0)
-    dof = len(points_stack) * (m_in - k)
+    dof = points_stack.shape[0] * (m_in - k)
     sigma2 = rss / dof if dof > 0 else np.zeros(3)
     propagate = design_out @ np.linalg.solve(design_in.T @ design_in, design_out.T)
     noise_covs = [s2 * propagate for s2 in sigma2]
@@ -245,11 +233,6 @@ def _smoothing_designs(n_basis: int, m_in: int, grid_bytes: bytes) -> tuple[np.n
 
 # ---------------------------------------------------------------------------
 # fitted pipeline
-
-def _recenter(values: np.ndarray) -> np.ndarray:
-    """(..., M, 3) curves, each moved to centroid zero."""
-    return values - values.mean(axis=-2, keepdims=True)
-
 
 @dataclass
 class FittedPipeline:
@@ -279,45 +262,58 @@ class FittedPipeline:
         return self.model.scores[:, : self.k95]
 
     def _align_amplitude(self, pts: np.ndarray) -> np.ndarray:
-        """Register one smoothed unit-size configuration to the trained template."""
+        """Register a (K, N, 3) stack of smoothed unit-size configurations to the trained template."""
         lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
-        k_reg = _registration_basis_size(self.settings, pts.shape[0])
-        smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
-        q = to_srvf(smoothed[0], self.grid)
-        # Two rotation/warp alternations: the second rotation sees the
-        # correspondence of the first, unblended warp.
-        rotated, _, gamma, _ = align_step(q, self.template, None, lam, 1.0)
-        _, aligned, _, _ = align_step(rotated, self.template, gamma, lam, alpha)
-        return _recenter(from_srvf(aligned, self.grid))
+        k_reg = _registration_basis_size(self.settings, pts.shape[1])
+        smoothed, _ = _smooth_stack(pts, self.settings, self.grid, n_basis=k_reg)
+        aligned = []
+        for q in to_srvf(smoothed, self.grid):
+            # Two rotation/warp alternations: the second rotation sees the
+            # correspondence of the first, unblended warp.
+            rotated, _, gamma, _ = align_step(q, self.template, None, lam, 1.0)
+            _, q_aligned, _, _ = align_step(rotated, self.template, gamma, lam, alpha)
+            aligned.append(q_aligned)
+        return center(from_srvf(np.stack(aligned), self.grid))
 
     def transform(self, configs: list[LandmarkConfiguration]) -> np.ndarray:
         """Scores of held-out specimens through the trained transforms, without refitting."""
         pts = _preprocess(configs, self.settings, self.chain.arc)
         if self.consensus is not None:
-            pts = [align_to_reference(p, self.consensus) for p in pts]
+            pts = _naming_specimens(align_to_reference, configs, pts, self.consensus)
         if self.chain.backbone == "gm":
-            return pca_project(self.model, np.stack([p.reshape(-1) for p in pts]))[:, : self.k95]
+            return pca_project(self.model, flatten_configurations(pts))[:, : self.k95]
         if self.chain.backbone == "elastic":
-            pts = [self._align_amplitude(p) for p in pts]
+            pts = self._align_amplitude(pts)
         smoothed, _ = _smooth_stack(pts, self.settings, self.grid)
         blocks = [smoothed[:, :, p] for p in range(3)]
         return mfpca_project(self.model, blocks)[:, : self.k95]
 
-    def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
-        """Rank-k reconstruction of training specimen ``index``, superimposed on its target."""
+    def reconstruct(self, k: int | None = None) -> np.ndarray:
+        """(n, N, 3) rank-k reconstructions of the training specimens, each superimposed on its target."""
         k = self.recon_k95 if k is None else k
-        if self.chain.backbone == "gm":
-            recon, _ = pca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
-        else:
-            recon = mfpca_reconstruct(self.recon_model, self.recon_model.scores[index], k)[0]
+        # Each score row as a (1, K) matrix keeps every product the
+        # vector-matrix product of one specimen; one (n, K) product adds up
+        # in another order and moves the last bits.
+        rows = self.recon_model.scores[:, None]
+        reconstruct_rows = pca_reconstruct if self.chain.backbone == "gm" else mfpca_reconstruct
+        recon = reconstruct_rows(self.recon_model, rows, k)[:, 0]
         if self.chain.backbone == "elastic":
-            recon = _recenter(from_srvf(recon, self.grid)) * self.sizes[index]
-        return superimpose(recon, self.targets[index])
+            recon = center(from_srvf(recon, self.grid)) * self.sizes[:, None, None]
+        return superimpose(recon, self.targets)
+
+
+def _naming_specimens(procrustes, configs: list[LandmarkConfiguration], points: np.ndarray, *args):
+    """``procrustes(points, *args)`` on the specimens' (n, N, 3) points; a zero-size configuration is named by its specimen."""
+    try:
+        return procrustes(points, *args)
+    except ZeroCentroidSizeError as exc:
+        ids = ", ".join(configs[row].specimen_id for row in exc.rows)
+        raise ValueError(f"zero centroid size: specimen {ids}") from exc
 
 
 def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
     targets = _preprocess(configs, settings, chain.arc)
-    result = gpa(targets)
+    result = _naming_specimens(gpa, configs, targets)
     flat = flatten_configurations(result.aligned)
     model = pca_fit(flat)
     retained = model.eigenvalues[: min(settings.m_target, model.k_max)]
@@ -344,7 +340,7 @@ def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration
 
 def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
     pts = _preprocess(configs, settings, chain.arc)
-    result = gpa(pts)
+    result = _naming_specimens(gpa, configs, pts)
     grid = uniform_params(settings.n_points)
     # Smooth before differentiating: SRVFs of raw noisy polylines are
     # noise-dominated and would drive the warp search.
@@ -352,7 +348,7 @@ def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfigura
     smoothed_aligned, _ = _smooth_stack(result.aligned, settings, grid, n_basis=k_reg)
     lam, alpha = chain.warp_penalty_and_blend(settings)
     registration = karcher_mean([SrvfCurve(grid, q) for q in to_srvf(smoothed_aligned, grid)], lam=lam, alpha=alpha)
-    amplitudes = _recenter(from_srvf(np.stack([q.q for q in registration.aligned]), grid))
+    amplitudes = center(from_srvf(np.stack([q.q for q in registration.aligned]), grid))
 
     # Amplitude and SRVF functions carry transformed (non-i.i.d.) noise, so
     # their spectra use the plain estimator.
@@ -407,8 +403,8 @@ def run_pipeline(
     """Fit one pipeline on a dataset and assemble scores, reconstructions, and MSE."""
     fitted = fit_pipeline(pipeline_id, dataset, settings)
     n = len(dataset)
-    recons = np.stack([fitted.reconstruct(i) for i in range(n)])
-    mse = np.array([evaluate_mse(fitted.targets[i], recons[i]) for i in range(n)])
+    recons = fitted.reconstruct()
+    mse = evaluate_mse(fitted.targets, recons)
     return PipelineOutput(
         pipeline_id=fitted.pipeline_id,
         scores=fitted.scores,

@@ -1,9 +1,14 @@
 """Shared dataset builders and comparison utilities for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from curvemorph.curvetools import uniform_params
 from curvemorph.landmarks import LandmarkConfiguration
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def phase_family(n=8, m=30, spread=2 * np.pi, seed=0, power=1.0):
@@ -80,3 +85,18 @@ def score_rel(sa, sb):
     signs = np.sign(np.sum(sa * sb, axis=0))
     signs[signs == 0] = 1
     return np.linalg.norm(sa - sb * signs) / np.linalg.norm(sa)
+
+
+def benchmark_helix_replicate(seed=1, rep=0):
+    """The benchmark's 200-specimen helix replicate (``perfbench/inputs.py``, as run-linear builds it) as configurations."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    specimens = inputs.helix_replicate(seed, rep, inputs.scaled_sizes(200))
+    return [LandmarkConfiguration(sid, points, label) for sid, label, points in specimens]
+
+
+def bitwise_equal(a, b):
+    """Same shape and the same bytes: equal values, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

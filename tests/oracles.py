@@ -2,12 +2,16 @@
 
 Per-curve resampling, arc-length reparameterisation, smoothing and SRVF
 operations on wrapper objects, built on the kernels of
-``curvemorph.basis`` and ``curvemorph.srvf``.  The pipelines run the same
+``curvemorph.basis`` and ``curvemorph.srvf``, and the per-configuration
+Procrustes algebra, GPA, one-row PCA reconstruction and per-specimen
+reconstruction of a fitted pipeline.  The pipelines run the same
 arithmetic on stacked arrays (``curvetools.resample_uniform`` and
 ``curvetools.reparameterise_arclength`` on (K, N, 3) stacks,
-``fit_coefficients`` with one design per stack, ``srvf.align_step``); the
-tests use these as oracles for those array paths and as readable
-distance and warp-action helpers.
+``fit_coefficients`` with one design per stack, ``srvf.align_step``, the
+``landmarks`` functions on (..., N, 3) stacks and
+``FittedPipeline.reconstruct`` of all specimens at once); the tests use
+these as oracles for those array paths and as readable distance and
+warp-action helpers.
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ import numpy as np
 
 from curvemorph.basis import BSplineBasis, fit_coefficients
 from curvemorph.curvetools import uniform_params
-from curvemorph.srvf import SrvfCurve, WarpingFunction, _l2_norm_sq, _rotation, _warp_values
+from curvemorph.fpca import mfpca_reconstruct
+from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, _canonical_frame
+from curvemorph.pca import PcaModel
+from curvemorph.srvf import SrvfCurve, WarpingFunction, _l2_norm_sq, _rotation, _warp_values, from_srvf
 
 
 @dataclass
@@ -159,3 +166,142 @@ def rotation_align_srvf(q: SrvfCurve, template: SrvfCurve) -> tuple[SrvfCurve, n
         raise ValueError("SRVFs must share a grid")
     r = _rotation(q.q, template.q)
     return SrvfCurve(q.params.copy(), q.q @ r), r
+
+
+def center(points: np.ndarray) -> np.ndarray:
+    """Translate a configuration so its centroid sits at the origin."""
+    points = np.asarray(points, dtype=float)
+    return points - points.mean(axis=0)
+
+
+def centroid_size(config: LandmarkConfiguration | np.ndarray) -> float:
+    """Square root of the summed squared deviations of landmarks from their centroid."""
+    pts = config.points if isinstance(config, LandmarkConfiguration) else np.asarray(config, dtype=float)
+    size = float(np.sqrt(np.sum(center(pts) ** 2)))
+    if size == 0.0:
+        raise ValueError("zero centroid size")
+    return size
+
+
+def optimal_rotation(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Rotation R (det +1) minimizing ||source @ R - target||_F over rotations.
+
+    Both inputs must be centered.  Reflections are excluded; a rank-deficient
+    cross-covariance with an ambiguous minimizer is flagged via the second
+    return value.
+    """
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if source.shape != target.shape or source.shape[0] < 3:
+        raise ValueError("source and target must be equal N x 3 with N >= 3")
+    h = source.T @ target
+    u, s, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(u @ vt))
+    if d == 0:
+        d = 1.0
+    r = u @ np.diag([1.0, 1.0, d]) @ vt
+    # Ambiguity: smallest singular value (after sign fix) indistinguishable
+    # from its neighbour or zero means several rotations tie.
+    degenerate = bool(s[-1] <= 1e-12 * max(s[0], 1e-300))
+    return r, degenerate
+
+
+def _normalize(points: np.ndarray) -> np.ndarray:
+    c = center(points)
+    return c / centroid_size(c)
+
+
+def gpa(points: np.ndarray) -> ProcrustesResult:
+    """Generalised Procrustes analysis of an (n, N, 3) stack: remove translation, rotation, and scale.
+
+    Every configuration is centered and fixed to unit centroid size, then
+    iteratively rotated to the evolving consensus (the unit-size rescaled
+    mean) until the consensus moves less than 1e-10 in Frobenius norm, for
+    at most 100 rounds.  Rejects stacks of another shape, of fewer than 2
+    configurations or 3 landmarks, and non-finite coordinates.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[0] < 2 or points.shape[1] < 3 or points.shape[2] != 3:
+        raise ValueError(f"gpa needs an n x N x 3 stack with n >= 2 and N >= 3, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite landmark coordinates")
+
+    sizes = np.array([centroid_size(p) for p in points])
+    shapes = np.stack([_normalize(p) for p in points])
+
+    consensus = _normalize(shapes[0])
+    converged = False
+    iterations = 0
+    degenerate = False
+    for iterations in range(1, 101):
+        for i in range(shapes.shape[0]):
+            r, degen = optimal_rotation(shapes[i], consensus)
+            degenerate = degenerate or degen
+            shapes[i] = shapes[i] @ r
+        new_consensus = _normalize(shapes.mean(axis=0))
+        change = float(np.linalg.norm(new_consensus - consensus))
+        consensus = new_consensus
+        if change < 1e-10:
+            converged = True
+            break
+
+    # GPA leaves one global rotation free; pin it so results are comparable
+    # across datasets that differ only by nuisance transforms.
+    frame = _canonical_frame(consensus)
+    consensus = consensus @ frame
+    shapes = shapes @ frame
+    return ProcrustesResult(
+        aligned=shapes,
+        consensus=consensus,
+        centroid_sizes=sizes,
+        iterations=iterations,
+        converged=converged,
+        degenerate=degenerate,
+    )
+
+
+def align_to_reference(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Center, scale to unit centroid size, and rotate one configuration onto a reference.
+
+    Used to project held-out specimens onto a trained consensus without
+    letting them influence it.
+    """
+    normalized = _normalize(points)
+    r, _ = optimal_rotation(normalized, center(reference))
+    return normalized @ r
+
+
+def superimpose(source: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Full Procrustes fit (rotation + scale + translation) of source onto target."""
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    src_c = center(source)
+    tgt_c = center(target)
+    r, _ = optimal_rotation(src_c, tgt_c)
+    denom = float(np.sum(src_c**2))
+    beta = float(np.sum((src_c @ r) * tgt_c)) / denom if denom > 0 else 1.0
+    return beta * src_c @ r + target.mean(axis=0)
+
+
+def pca_reconstruct(model: PcaModel, scores_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-k approximation added back to the mean, reshaped to N x 3.
+
+    Returns (reconstruction, consensus) where consensus is the mean shape.
+    """
+    scores_row = np.asarray(scores_row, dtype=float).ravel()
+    if not 0 <= k <= model.k_max:
+        raise ValueError("component count out of range")
+    vec = model.mean_vector + scores_row[:k] @ model.loadings[:k]
+    return vec.reshape(-1, 3), model.mean_vector.reshape(-1, 3)
+
+
+def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
+    """Rank-k reconstruction of training specimen ``index`` of a fitted pipeline, superimposed on its target."""
+    k = self.recon_k95 if k is None else k
+    if self.chain.backbone == "gm":
+        recon, _ = pca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
+    else:
+        recon = mfpca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
+    if self.chain.backbone == "elastic":
+        recon = center(from_srvf(recon, self.grid)) * self.sizes[index]
+    return superimpose(recon, self.targets[index])

@@ -1,13 +1,17 @@
 import csv
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvemorph import pipelines
-from curvemorph.cli import main, read_landmark_csv, write_landmark_csv
+from curvemorph.cli import InputError, LANDMARK_HEADER, apply_labels, main, read_labels_csv, read_landmark_csv, write_landmark_csv
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.simgen import SimConfig, generate_replicate
 
@@ -239,6 +243,107 @@ class TestInputErrorLeavesNoOutput:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reader", ["data", "labels", "config"])
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys, reader):
+        configs = small_dataset(seed=4, sizes=(3, 3, 3, 3), n_points=10)
+        files = {"data": tmp_path / "d.csv", "labels": tmp_path / "labels.csv", "config": tmp_path / "c.cfg"}
+        write_dataset(files["data"], configs)
+        files["labels"].write_text("specimen_id,label\n" + "".join(f"{c.specimen_id},{c.label}\n" for c in configs))
+        files["config"].write_text("seed=0\n")
+        files[reader].write_bytes(files[reader].read_bytes() + b"\xff\n")
+        out = tmp_path / "o"
+        args = ["classify", "--out", str(out), "--pipelines", "GM", "--classifiers", "lda"]
+        assert main(args + [arg for key, path in files.items() for arg in (f"--{key}", str(path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot read ") and str(files[reader]) in err and "0xff" in err
+        assert not out.exists()
+
+
+def _csv_bytes(rows):
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+@st.composite
+def landmark_inputs(draw):
+    """Landmark and label CSV bytes from random rows: valid, or broken in one of the ways the readers must catch."""
+    n_specimens = draw(st.integers(1, 10))
+    n_landmarks = draw(st.integers(3, 5))
+    number = st.floats(-10.0, 10.0, allow_nan=False).map(repr)
+    rows = [
+        [f"s{i}", "AB"[i % 2], str(j), draw(number), draw(number), draw(number)]
+        for i in range(n_specimens)
+        for j in range(n_landmarks)
+    ]
+    at = draw(st.integers(0, len(rows) - 1))
+    fault = draw(
+        st.sampled_from(
+            [None, None, "header", "fields", "cell", "non-finite", "index", "label", "unlabelled", "empty", "bytes", "not-utf8"]
+        )
+    )
+    if fault == "fields":
+        rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["0"]
+    elif fault == "cell":
+        rows[at][draw(st.integers(2, 5))] = draw(st.sampled_from(["abc", "", "1,5", "0x1"]))
+    elif fault == "non-finite":
+        rows[at][draw(st.integers(3, 5))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+    elif fault == "index":  # repeated, gapped or negative landmark_index
+        rows[at][2] = str(draw(st.integers(-1, n_landmarks)))
+    elif fault == "label":  # one row of a specimen carries another label
+        rows[at][1] += "x"
+    elif fault == "unlabelled":
+        for row in rows:
+            if row[0] == rows[at][0]:
+                row[1] = ""
+    header = LANDMARK_HEADER[::-1] if fault == "header" else LANDMARK_HEADER
+    data = {"empty": b"", "bytes": draw(st.binary(max_size=64))}.get(fault, _csv_bytes([header] + rows))
+    if fault == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+
+    label_fault = draw(st.sampled_from([None, None, "valid", "missing", "twice", "fields", "bytes"]))
+    if label_fault is None:
+        return data, None
+    label_rows = [[f"s{i}", draw(st.sampled_from(["A", "B"]))] for i in range(n_specimens)]
+    if label_fault == "missing":
+        label_rows.pop(draw(st.integers(0, n_specimens - 1)))
+    elif label_fault == "twice":
+        label_rows.append(label_rows[0])
+    elif label_fault == "fields":
+        label_rows[0].append("extra")
+    labels = draw(st.binary(max_size=64)) if label_fault == "bytes" else _csv_bytes([["specimen_id", "label"]] + label_rows)
+    return data, labels
+
+
+class TestReaderFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(landmark_inputs())
+    def test_run_and_classify_exit_cleanly(self, inputs):
+        data_bytes, label_bytes = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data = tmp / "d.csv"
+            data.write_bytes(data_bytes)
+            args = ["--data", str(data), "--pipelines", "GM", "--n-points", "5"]
+            if label_bytes is not None:
+                labels = tmp / "labels.csv"
+                labels.write_bytes(label_bytes)
+                args += ["--labels", str(labels)]
+            rejected = False
+            try:
+                configs = read_landmark_csv(data)
+                if label_bytes is not None:
+                    apply_labels(configs, read_labels_csv(labels))
+            except InputError:
+                rejected = True
+            for command in ("run", "classify"):
+                out = tmp / command
+                code = main([command, "--out", str(out)] + args + (["--classifiers", "lda"] if command == "classify" else []))
+                assert code in (0, 2, 3, 4)
+                if rejected:
+                    assert code == 2 and not out.exists()
+
 
 class TestThreadsOptionRemoved:
     def test_flag_is_rejected(self, tmp_path):
@@ -256,7 +361,7 @@ class TestThreadsOptionRemoved:
 class TestDegenerateCurve:
     def test_arc_chain_names_the_zero_length_specimen(self, tmp_path, capsys):
         # GPA rejects the zero-size specimen too, so the GM task of its
-        # replicate fails on its own terms; replicate b holds no such specimen.
+        # replicate fails naming it; replicate b holds no such specimen.
         configs = small_dataset(seed=6, sizes=(4, 4, 4, 4))
         bad = configs[7]
         configs[7] = LandmarkConfiguration(bad.specimen_id, np.full_like(bad.points, 0.25), bad.label)
@@ -266,7 +371,7 @@ class TestDegenerateCurve:
         args = ["run", "--data", f"{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}", "--out", str(out), "--pipelines", "ArcGM,GM"]
         assert main(args) == 4
         failures = json.loads((out / "manifest.json").read_text())["failures"]
-        assert failures == [f"a/ArcGM: ArcGM: degenerate curve: specimen {bad.specimen_id}", "a/GM: GM: zero centroid size"]
+        assert failures == [f"a/ArcGM: ArcGM: degenerate curve: specimen {bad.specimen_id}", f"a/GM: GM: zero centroid size: specimen {bad.specimen_id}"]
         assert capsys.readouterr().err == "partial failure:\n  " + "\n  ".join(failures) + "\n"
         with open(out / "mse.csv") as fh:
             assert [r["pipeline"] for r in csv.DictReader(fh)] == ["ArcGM", "GM"]

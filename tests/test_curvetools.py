@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +14,8 @@ from curvemorph.curvetools import (
     uniform_params,
 )
 import oracles
+from helpers import benchmark_helix_replicate, bitwise_equal
 from oracles import SampledCurve, curve_from_points
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def helix(t):
@@ -173,10 +169,6 @@ def polyline_stacks(draw):
     return stack, m
 
 
-def bitwise_equal(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestStackMatchesOracle:
     """The stack kernels against the per-curve loops of ``tests/oracles.py``, bitwise (signed zeros too)."""
 
@@ -199,10 +191,7 @@ class TestStackMatchesOracle:
 
     @pytest.mark.parametrize("m", [30, 60, 120])
     def test_benchmark_helix_replicate(self, m):
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
-        stack = np.stack([points for _, _, points in inputs.helix_replicate(1, 0, inputs.scaled_sizes(200))])
+        stack = np.stack([c.points for c in benchmark_helix_replicate()])
         assert stack.shape == (200, 30, 3)
         expected = self.loop(oracles.arclength_reparameterise, stack, m)
         assert bitwise_equal(reparameterise_arclength(stack, m), expected)

@@ -6,12 +6,17 @@ from scipy.stats import special_ortho_group
 
 from curvemorph.landmarks import (
     LandmarkConfiguration,
+    ZeroCentroidSizeError,
     align_to_reference,
     center,
     centroid_size,
     gpa,
     optimal_rotation,
+    superimpose,
 )
+
+import oracles
+from helpers import benchmark_helix_replicate, bitwise_equal
 
 
 def make_config(points, sid="s", label=None):
@@ -28,7 +33,7 @@ def rigid_motion(points, rng, scale=None):
 class TestCentroidSize:
     def test_hand_value(self):
         cfg = make_config([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        assert centroid_size(cfg) == pytest.approx(np.sqrt(4.0 / 3.0), abs=1e-12)
+        assert centroid_size(cfg.points) == pytest.approx(np.sqrt(4.0 / 3.0), abs=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_homogeneous_degree_one(self, factor):
@@ -37,7 +42,7 @@ class TestCentroidSize:
 
     def test_coincident_points_error(self):
         with pytest.raises(ValueError, match="zero centroid size"):
-            centroid_size(make_config([[1, 1, 1]] * 4))
+            centroid_size(make_config([[1, 1, 1]] * 4).points)
 
     def test_centering_invariance(self):
         rng = np.random.default_rng(0)
@@ -137,12 +142,107 @@ class TestGpa:
         with pytest.raises(ValueError, match="zero centroid size"):
             gpa(np.stack([ok, np.ones((4, 3))]))
 
+    def test_zero_size_rows_are_named(self):
+        stack = np.random.default_rng(10).normal(size=(5, 4, 3))
+        stack[1] = 2.5
+        stack[3] = -0.0
+        with pytest.raises(ZeroCentroidSizeError, match="^zero centroid size: row 1, 3$") as exc:
+            gpa(stack)
+        assert exc.value.rows == [1, 3]
+
     def test_align_to_reference_matches_gpa_frame(self):
         rng = np.random.default_rng(11)
         configs = np.stack([rng.normal(size=(6, 3)) for _ in range(5)])
         result = gpa(configs)
         aligned = align_to_reference(rigid_motion(configs[2], rng), result.consensus)
         assert np.allclose(aligned, result.aligned[2], atol=1e-6)
+
+
+@st.composite
+def configuration_stacks(draw):
+    """(n, N, 3) source and target stacks mixing general, mirrored, collinear, coplanar and (near) zero-size configurations."""
+    n = draw(st.integers(1, 8))
+    n_landmarks = draw(st.integers(3, 60))  # past 42, numpy sums the 3N values in pairwise blocks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = rng.normal(size=(n, n_landmarks, 3))
+    target = source @ special_ortho_group.rvs(3, size=n, random_state=rng).reshape(n, 3, 3)
+    target += rng.normal(scale=draw(st.sampled_from([0.0, 1e-3, 1.0])), size=target.shape)
+    for i in range(n):
+        kind = draw(st.sampled_from(["general", "mirrored", "collinear", "coplanar", "axis-plane", "point", "near-point"]))
+        if kind == "mirrored":  # the best orthogonal map is a reflection: the det -1 flip
+            target[i] = source[i] * [1.0, 1.0, -1.0]
+        elif kind == "collinear":
+            source[i] = np.outer(rng.normal(size=n_landmarks), rng.normal(size=3))
+        elif kind == "coplanar":
+            source[i] = rng.normal(size=(n_landmarks, 2)) @ rng.normal(size=(2, 3))
+        elif kind == "axis-plane":  # exact zeros of both signs in one coordinate
+            source[i, :, rng.integers(3)] = rng.choice([0.0, -0.0], size=n_landmarks)
+            target[i, :, 2] = 0.0
+        elif kind == "point":  # centred exactly to zero
+            source[i] = rng.integers(-8, 8, size=3) / 4.0
+        elif kind == "near-point":  # the centring's round-off leaves a tiny size
+            source[i] = rng.normal(size=3)
+    return source, target
+
+
+def assert_matches_loop(stacked, oracle, *stacks):
+    """``stacked`` on whole stacks equals ``oracle`` mapped over their rows, or both reject a zero-size row."""
+    try:
+        expected = np.stack([oracle(*rows) for rows in zip(*stacks)])
+    except ValueError as exc:
+        assert str(exc) == "zero centroid size"
+        with pytest.raises(ZeroCentroidSizeError):
+            stacked(*stacks)
+    else:
+        assert bitwise_equal(stacked(*stacks), expected)
+
+
+class TestStackMatchesOracle:
+    """The stacked Procrustes functions against the per-configuration oracles of ``tests/oracles.py``, bitwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(configuration_stacks())
+    def test_procrustes_functions(self, stacks):
+        source, target = stacks
+        assert_matches_loop(center, oracles.center, source)
+        src_c, tgt_c = center(source), center(target)
+        # A target per configuration, and one target broadcast over the stack.
+        for tgt, rows in ((tgt_c, tgt_c), (tgt_c[0], [tgt_c[0]] * len(src_c))):
+            r, degenerate = optimal_rotation(src_c, tgt)
+            expected = [oracles.optimal_rotation(a, b) for a, b in zip(src_c, rows)]
+            assert bitwise_equal(r, np.stack([e[0] for e in expected]))
+            assert degenerate.tolist() == [e[1] for e in expected]
+        assert_matches_loop(superimpose, oracles.superimpose, source, target)
+
+        assert_matches_loop(centroid_size, oracles.centroid_size, source)
+        reference = target[0]
+        assert_matches_loop(lambda stack: align_to_reference(stack, reference), lambda p: oracles.align_to_reference(p, reference), source)
+        if len(source) >= 2:
+            try:
+                expected = oracles.gpa(source)
+            except ValueError:
+                with pytest.raises(ZeroCentroidSizeError):
+                    gpa(source)
+            else:
+                assert_same_gpa(gpa(source), expected)
+
+    def test_benchmark_helix_replicate(self):
+        stack = np.stack([c.points for c in benchmark_helix_replicate()])
+        assert stack.shape == (200, 30, 3)
+        assert_same_gpa(gpa(stack), oracles.gpa(stack))
+
+    def test_two_dimensional_calls_keep_their_scalar_results(self):
+        points = np.random.default_rng(13).normal(size=(6, 3))
+        assert centroid_size(points) == oracles.centroid_size(points)
+        r, degenerate = optimal_rotation(center(points), center(points[::-1]))
+        assert r.shape == (3, 3) and degenerate == oracles.optimal_rotation(center(points), center(points[::-1]))[1]
+
+
+def assert_same_gpa(result, expected):
+    assert bitwise_equal(result.aligned, expected.aligned)
+    assert bitwise_equal(result.consensus, expected.consensus)
+    assert bitwise_equal(result.centroid_sizes, expected.centroid_sizes)
+    assert (result.iterations, result.converged, result.degenerate) == (expected.iterations, expected.converged, expected.degenerate)
 
 
 class TestValidation:

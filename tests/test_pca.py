@@ -27,7 +27,7 @@ class TestPcaFit:
         data = rng.normal(size=(10, 12))
         model = pca_fit(data)
         for i in range(10):
-            recon, _ = pca_reconstruct(model, model.scores[i], model.k_max)
+            recon = pca_reconstruct(model, model.scores[i], model.k_max)
             assert np.max(np.abs(recon.reshape(-1) - data[i])) < 1e-8
 
     def test_needs_two_rows(self):
@@ -46,7 +46,8 @@ class TestPcaReconstruct:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(8, 9))
         model = pca_fit(data)
-        recon, consensus = pca_reconstruct(model, model.scores[0], 0)
+        recon = pca_reconstruct(model, model.scores[0], 0)
+        consensus = model.mean_vector.reshape(-1, 3)
         assert np.array_equal(recon, consensus)
         assert np.allclose(consensus.reshape(-1), data.mean(axis=0), atol=0)
 
@@ -57,7 +58,7 @@ class TestPcaReconstruct:
         for i in range(12):
             errs = []
             for k in range(model.k_max + 1):
-                recon, _ = pca_reconstruct(model, model.scores[i], k)
+                recon = pca_reconstruct(model, model.scores[i], k)
                 errs.append(np.sum((recon.reshape(-1) - data[i]) ** 2))
             assert all(errs[j + 1] <= errs[j] + 1e-12 for j in range(len(errs) - 1))
 
@@ -90,7 +91,7 @@ class TestInvariants:
         for k in (0, 3, 7, model.k_max):
             total_sq = 0.0
             for i in range(20):
-                recon, _ = pca_reconstruct(model, model.scores[i], k)
+                recon = pca_reconstruct(model, model.scores[i], k)
                 total_sq += np.sum((recon.reshape(-1) - data[i]) ** 2)
             expected = model.eigenvalues[k:].sum() * (20 - 1)
             assert total_sq == pytest.approx(expected, rel=1e-6, abs=1e-12)

@@ -6,12 +6,11 @@ import pytest
 from curvemorph import pipelines
 from curvemorph.basis import build_basis
 from curvemorph.curvetools import uniform_params
-from curvemorph.landmarks import LandmarkConfiguration
+from curvemorph.landmarks import LandmarkConfiguration, center, superimpose
 from curvemorph.pipelines import (
     _GRID_CACHE_SIZE,
     _grid_cache,
     _preprocess,
-    _recenter,
     _registration_basis_size,
     _smooth_stack,
     FittedPipeline,
@@ -21,12 +20,12 @@ from curvemorph.pipelines import (
     evaluate_mse,
     fit_pipeline,
     run_pipeline,
-    superimpose,
 )
 from curvemorph.simgen import SimConfig, generate_replicate
 from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, soft_warp, to_srvf
 
-from helpers import phase_family, score_rel, separated_mode_family
+import oracles
+from helpers import benchmark_helix_replicate, bitwise_equal, phase_family, score_rel, separated_mode_family
 from oracles import arclength_reparameterise, curve_from_points, evaluate, resample_uniform, rotation_align_srvf, smooth, warp_action
 
 
@@ -102,8 +101,7 @@ class TestReconstruction:
         data = phase_family(n=8)
         out = run_pipeline("GM", data)
         fitted = out.fitted
-        for i in range(4):
-            recon = fitted.reconstruct(i, fitted.model.k_max)
+        for i, recon in enumerate(fitted.reconstruct(fitted.model.k_max)[:4]):
             assert evaluate_mse(fitted.targets[i], recon) < 1e-6
 
     def test_fdm_full_rank_reproduces_processed(self):
@@ -112,8 +110,7 @@ class TestReconstruction:
         fitted = out.fitted
         j_full = fitted.model.eigenvalues.shape[0]
         basis = build_basis()
-        for i in range(4):
-            recon = fitted.reconstruct(i, j_full)
+        for i, recon in enumerate(fitted.reconstruct(j_full)[:4]):
             # the retained representation is lossless for this clean family
             smoothed = evaluate(smooth(curve_from_points(data[i].points), basis), fitted.grid)
             assert np.max(np.abs(recon - smoothed)) < 1e-6
@@ -121,7 +118,7 @@ class TestReconstruction:
     def test_zero_components_gives_mean_shape(self):
         data = phase_family(n=8)
         out = run_pipeline("GM", data)
-        recon0 = out.fitted.reconstruct(0, 0)
+        recon0 = out.fitted.reconstruct(0)[0]
         mean_shape = out.fitted.model.mean_vector.reshape(-1, 3)
         assert evaluate_mse(recon0, superimpose(mean_shape, recon0)) < 1e-12
 
@@ -138,11 +135,31 @@ class TestReconstruction:
             k_max = fitted.model.k_max if pid == "GM" else fitted.model.eigenvalues.shape[0]
             for i in (0, 3):
                 errors = [
-                    evaluate_mse(fitted.targets[i], fitted.reconstruct(i, k))
+                    evaluate_mse(fitted.targets[i], fitted.reconstruct(k)[i])
                     for k in range(k_max + 1)
                 ]
                 for a, b in zip(errors, errors[1:]):
                     assert b <= a * (1 + 1e-6) + 1e-12
+
+
+class TestReconstructMatchesPerIndexOracle:
+    @pytest.mark.parametrize("pid", ["GM", "ArcGM", "FDM", "SoftSrvFdm"])
+    def test_benchmark_helix_replicate(self, pid):
+        data = benchmark_helix_replicate()
+        out = run_pipeline(pid, data)
+        fitted = out.fitted
+        expected = np.stack([oracles.reconstruct(fitted, i) for i in range(len(data))])
+        assert bitwise_equal(out.reconstructions, expected)
+        mse = [float(np.mean((target - recon) ** 2)) for target, recon in zip(fitted.targets, expected)]
+        assert bitwise_equal(out.mse_per_specimen, np.array(mse))
+        for k in (0, 1):
+            assert bitwise_equal(fitted.reconstruct(k), np.stack([oracles.reconstruct(fitted, i, k) for i in range(len(data))]))
+
+    def test_evaluate_mse_per_row(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(2, 5, 7, 3))
+        assert bitwise_equal(evaluate_mse(a, b), np.array([float(np.mean((x - y) ** 2)) for x, y in zip(a, b)]))
+        assert evaluate_mse(a[0], b[0]) == evaluate_mse(a, b)[0]
 
 
 class TestEvaluateMse:
@@ -177,6 +194,14 @@ class TestTransformConsistency:
         again = out.fitted.transform(data)
         assert np.max(np.abs(again - out.scores)) < 1e-8
 
+    @pytest.mark.parametrize("pid", ["GM", "ElasticSrvFdm"])
+    def test_held_out_zero_size_specimen_is_named(self, pid):
+        data = phase_family(n=8, m=30, spread=0.4)
+        fitted = fit_pipeline(pid, data[:6])
+        flat = LandmarkConfiguration("flat", np.full((30, 3), 0.25), "g0")
+        with pytest.raises(ValueError, match="^zero centroid size: specimen flat$"):
+            fitted.transform([data[6], flat])
+
     def test_elastic_training_data_close(self):
         data = phase_family(n=8, m=40, spread=0.4)
         out = run_pipeline("ElasticSrvFdm", data, PipelineSettings(n_points=40))
@@ -185,11 +210,11 @@ class TestTransformConsistency:
         assert rel < 0.05
 
 
-def _align_amplitude_loop(self, pts: np.ndarray) -> np.ndarray:
-    """Reference: the object-based alternation that two ``align_step`` calls replaced."""
+def _align_one(self, pts: np.ndarray) -> np.ndarray:
+    """Reference: the object-based alternation that two ``align_step`` calls replaced, for one specimen."""
     lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
     k_reg = _registration_basis_size(self.settings, pts.shape[0])
-    smoothed, _ = _smooth_stack([pts], self.settings, self.grid, n_basis=k_reg)
+    smoothed, _ = _smooth_stack(pts[None], self.settings, self.grid, n_basis=k_reg)
     q = SrvfCurve(self.grid.copy(), to_srvf(smoothed[0], self.grid))
     # Two rotation/warp alternations; the second rotation sees
     # warp-corrected correspondence.
@@ -201,7 +226,12 @@ def _align_amplitude_loop(self, pts: np.ndarray) -> np.ndarray:
     if alpha < 1.0:
         warp = soft_warp(warp, alpha)
     aligned = warp_action(q_rot, warp)
-    return _recenter(from_srvf(aligned.q, aligned.params))
+    return center(from_srvf(aligned.q, aligned.params))
+
+
+def _align_amplitude_loop(self, pts: np.ndarray) -> np.ndarray:
+    """Reference: ``_align_one`` mapped over the (K, N, 3) stack."""
+    return np.stack([_align_one(self, p) for p in pts])
 
 
 class TestHeldOutAlignmentMatchesObjectLoopOracle:
@@ -258,7 +288,7 @@ def _noisy_curves(n, m, seed):
     t = uniform_params(m)[:, None]
     freq = rng.uniform(1.0, 3.0, size=(n, 1, 3))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1, 3))
-    return list(np.sin(freq * 2.0 * np.pi * t + phase) + rng.normal(scale=0.05, size=(n, m, 3)))
+    return np.sin(freq * 2.0 * np.pi * t + phase) + rng.normal(scale=0.05, size=(n, m, 3))
 
 
 class TestSmoothStackMatchesLoopOracle:
