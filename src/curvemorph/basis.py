@@ -1,38 +1,47 @@
-"""Cubic B-spline basis construction and least-squares smoothing of 3D curves."""
+"""Cubic B-spline design matrices and least-squares smoothing of 3D curves."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.interpolate import BSpline
 
 ORDER = 4  # B-spline order of every basis: cubic
 
 
-@dataclass
-class BSplineBasis:
-    """Open-uniform cubic B-spline basis on [0, 1] (order ``ORDER``)."""
+def design_matrix(n_basis: int, grid: np.ndarray) -> np.ndarray:
+    """Dense (len(grid), n_basis) matrix of the open-uniform cubic B-splines at ``grid``.
 
-    n_basis: int
-    knots: np.ndarray
-
-    def design_matrix(self, grid: np.ndarray) -> np.ndarray:
-        grid = np.asarray(grid, dtype=float)
-        if grid.size == 0:
-            return np.zeros((0, self.n_basis))
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
-            raise ValueError("evaluation grid must lie in [0, 1]")
-        return BSpline.design_matrix(grid, self.knots, ORDER - 1, extrapolate=False).toarray()
-
-
-def build_basis(n_basis: int = 10) -> BSplineBasis:
-    """Open-uniform knots: endpoint multiplicity ``ORDER``, equally spaced interior knots."""
+    The knots have multiplicity ``ORDER`` at 0 and 1 and equally spaced
+    interior knots.  Each row comes from de Boor's recursion (de Boor,
+    *A Practical Guide to Splines*, 1978) on the knot interval
+    t[ell] <= x < t[ell + 1], with x = 1 in the last interval; the
+    operations and their order are those of scipy's ``_deBoor_D``, so the
+    matrix is bitwise ``scipy.interpolate.BSpline.design_matrix``'s.  On
+    these knots t[ell + n] > t[ell + n - j] in every step, so no
+    denominator is zero.
+    """
     if n_basis < ORDER:
         raise ValueError("n_basis must be at least the order")
+    x = np.asarray(grid, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError("evaluation grid must lie in [0, 1]")
     interior = np.linspace(0.0, 1.0, n_basis - ORDER + 2)[1:-1]
-    knots = np.concatenate([np.zeros(ORDER), interior, np.ones(ORDER)])
-    return BSplineBasis(n_basis=n_basis, knots=knots)
+    t = np.concatenate([np.zeros(ORDER), interior, np.ones(ORDER)])
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, ORDER - 1, n_basis - 1)
+    h = np.zeros((x.size, ORDER))
+    h[:, 0] = 1.0
+    for j in range(1, ORDER):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            right, left = t[ell + n], t[ell + n - j]
+            w = prev[:, n - 1] / (right - left)
+            h[:, n - 1] += w * (right - x)
+            h[:, n] = w * (x - left)
+    # Row i is nonzero in columns ell[i] - 3 .. ell[i].  The values are added
+    # onto zeros, as scipy's sparse-to-dense step does.
+    dense = np.zeros((x.size, n_basis))
+    dense[np.arange(x.size)[:, None], ell[:, None] - (ORDER - 1) + np.arange(ORDER)] += h
+    return dense
 
 
 def fit_coefficients(design: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -143,7 +143,10 @@ def apply_labels(configs: list[LandmarkConfiguration], labels: dict[str, str]) -
 # configuration plumbing
 
 def _parse_bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
+    value = raw.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {raw!r}")
+    return value in ("1", "true", "yes")
 
 
 _ALL = ("simulate", "run", "classify", "report")
@@ -321,8 +324,14 @@ def cmd_simulate(args) -> int:
 
 def _load_replicates(values: dict) -> list[tuple[str, list[LandmarkConfiguration]]]:
     labels = read_labels_csv(Path(values["labels"])) if values.get("labels") else None
+    paths = _resolve_data(values)
+    first_by_name: dict[str, Path] = {}
+    for path in paths:
+        first = first_by_name.setdefault(path.stem, path)
+        if first is not path:
+            raise InputError(f"replicate name {path.stem!r} given twice: {first} and {path}")
     replicates = []
-    for path in _resolve_data(values):
+    for path in paths:
         configs = read_landmark_csv(path)
         if labels is not None:
             configs = apply_labels(configs, labels)
@@ -548,7 +557,12 @@ def cmd_report(args) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
         raise InputError(f"no manifest.json in {out}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("failures", []), list):
+        raise InputError(f"{manifest_path}: expected a JSON object whose failures are a list")
     lines = [f"curvemorph results in {out}", f"command: {manifest.get('command')}", f"seed: {manifest.get('seed')}"]
     for table in ("k95.csv", "mse.csv", "cv_summary.csv"):
         path = out / table
@@ -556,19 +570,23 @@ def cmd_report(args) -> int:
             continue
         lines.append("")
         lines.append(table)
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                pretty = []
-                for cell in row:
-                    try:
-                        pretty.append(f"{float(cell):.5g}")
-                    except ValueError:
-                        pretty.append(cell)
-                lines.append("  " + "  ".join(f"{c:>14}" for c in pretty))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        for row in rows:
+            pretty = []
+            for cell in row:
+                try:
+                    pretty.append(f"{float(cell):.5g}")
+                except ValueError:
+                    pretty.append(cell)
+            lines.append("  " + "  ".join(f"{c:>14}" for c in pretty))
     if manifest.get("failures"):
         lines.append("")
         lines.append("failures:")
-        lines += ["  " + f for f in manifest["failures"]]
+        lines += [f"  {f}" for f in manifest["failures"]]
     print("\n".join(lines))
     return 0
 

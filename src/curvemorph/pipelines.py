@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from curvemorph.basis import build_basis, fit_coefficients
+from curvemorph.basis import design_matrix, fit_coefficients
 from curvemorph.curvetools import DegenerateCurveError, reparameterise_arclength, resample_uniform, uniform_params
 from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
 from curvemorph.landmarks import LandmarkConfiguration, ZeroCentroidSizeError, align_to_reference, center, gpa, superimpose
@@ -224,8 +224,7 @@ def _smoothing_designs(n_basis: int, m_in: int, grid_bytes: bytes) -> tuple[np.n
     Every curve of a stack sits on the same input parameters and is
     evaluated on the same grid, so one pair serves the whole stack.
     """
-    basis = build_basis(n_basis)
-    designs = basis.design_matrix(uniform_params(m_in)), basis.design_matrix(np.frombuffer(grid_bytes))
+    designs = design_matrix(n_basis, uniform_params(m_in)), design_matrix(n_basis, np.frombuffer(grid_bytes))
     for design in designs:
         design.flags.writeable = False
     return designs

@@ -10,6 +10,7 @@ slope-constrained lattice of grid-node pairs.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +173,22 @@ def _edge_tables(m: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+_gather = threading.local()
+
+
+def _gather_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's three (n_steps, m, 3 (depth + 1)) gather arrays for ``_edge_costs``.
+
+    They are kept for the last grid size, because allocating and freeing
+    arrays of this size on every call costs a page fault per page touched
+    once they exceed malloc's mmap threshold.
+    """
+    buffers = getattr(_gather, "buffers", None)
+    if buffers is None or buffers[0].shape != shape:
+        buffers = _gather.buffers = tuple(np.empty(shape) for _ in range(3))
+    return buffers
+
+
 def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: float) -> np.ndarray:
     """Stacked costs C[k, i, j] of the lattice edge of step k ending at node (i, j).
 
@@ -184,9 +201,16 @@ def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: floa
     every step comes from one batched matrix product.
     """
     idx_t, idx_lo, idx_hi, w_t, w_lo, w_hi = _edge_tables(q_target.shape[0])
+    a, b, b_hi = _gather_buffers(idx_t.shape)
     q_t, q_s = q_target.ravel(), q_source.ravel()
-    a = q_t[idx_t] * w_t
-    b = q_s[idx_lo] * w_lo + q_s[idx_hi] * w_hi
+    # Indices are in range, so mode="clip" only spares take a copy of ``out``.
+    np.take(q_t, idx_t, out=a, mode="clip")
+    a *= w_t
+    np.take(q_s, idx_lo, out=b, mode="clip")
+    b *= w_lo
+    np.take(q_s, idx_hi, out=b_hi, mode="clip")
+    b_hi *= w_hi
+    b += b_hi
     costs = np.matmul(a, b.transpose(0, 2, 1))
     costs *= -2.0
     costs += np.einsum("kir,kir->ki", a, a)[:, :, None]

@@ -2,14 +2,16 @@
 
 Per-curve resampling, arc-length reparameterisation, smoothing and SRVF
 operations on wrapper objects, built on the kernels of
-``curvemorph.basis`` and ``curvemorph.srvf``, and the per-configuration
+``curvemorph.basis`` and ``curvemorph.srvf``, the B-spline basis object
+that takes its design matrix from scipy, and the per-configuration
 Procrustes algebra, GPA, one-row PCA reconstruction and per-specimen
 reconstruction of a fitted pipeline.  The pipelines run the same
 arithmetic on stacked arrays (``curvetools.resample_uniform`` and
 ``curvetools.reparameterise_arclength`` on (K, N, 3) stacks,
 ``fit_coefficients`` with one design per stack, ``srvf.align_step``, the
 ``landmarks`` functions on (..., N, 3) stacks and
-``FittedPipeline.reconstruct`` of all specimens at once); the tests use
+``FittedPipeline.reconstruct`` of all specimens at once, and
+``basis.design_matrix`` by de Boor's recursion); the tests use
 these as oracles for those array paths and as readable distance and
 warp-action helpers.
 """
@@ -19,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import BSpline
 
-from curvemorph.basis import BSplineBasis, fit_coefficients
+from curvemorph.basis import ORDER, fit_coefficients
 from curvemorph.curvetools import uniform_params
 from curvemorph.fpca import mfpca_reconstruct
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, _canonical_frame
@@ -119,6 +122,31 @@ def resample_uniform(curve: SampledCurve, m: int) -> SampledCurve:
     new_values[0] = curve.values[0]
     new_values[-1] = curve.values[-1]
     return SampledCurve(grid, new_values)
+
+
+@dataclass
+class BSplineBasis:
+    """Open-uniform cubic B-spline basis on [0, 1] (order ``ORDER``)."""
+
+    n_basis: int
+    knots: np.ndarray
+
+    def design_matrix(self, grid: np.ndarray) -> np.ndarray:
+        grid = np.asarray(grid, dtype=float)
+        if grid.size == 0:
+            return np.zeros((0, self.n_basis))
+        if np.any(grid < 0.0) or np.any(grid > 1.0):
+            raise ValueError("evaluation grid must lie in [0, 1]")
+        return BSpline.design_matrix(grid, self.knots, ORDER - 1, extrapolate=False).toarray()
+
+
+def build_basis(n_basis: int = 10) -> BSplineBasis:
+    """Open-uniform knots: endpoint multiplicity ``ORDER``, equally spaced interior knots."""
+    if n_basis < ORDER:
+        raise ValueError("n_basis must be at least the order")
+    interior = np.linspace(0.0, 1.0, n_basis - ORDER + 2)[1:-1]
+    knots = np.concatenate([np.zeros(ORDER), interior, np.ones(ORDER)])
+    return BSplineBasis(n_basis=n_basis, knots=knots)
 
 
 @dataclass

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph.basis import ORDER, build_basis
+from curvemorph.basis import ORDER, design_matrix
 from curvemorph.curvetools import uniform_params
 
-from oracles import SampledCurve, evaluate, smooth
+from helpers import bitwise_equal
+from oracles import SampledCurve, build_basis, evaluate, smooth
 
 
 def curve_of(fn, m=30):
@@ -15,28 +16,65 @@ def curve_of(fn, m=30):
     return SampledCurve(t, vals)
 
 
-class TestBuildBasis:
+class TestDesignMatrix:
     def test_bernstein_endpoint(self):
-        basis = build_basis(n_basis=4)
-        row = basis.design_matrix(np.array([0.0]))[0]
+        row = design_matrix(4, np.array([0.0]))[0]
         assert np.allclose(row, [1.0, 0, 0, 0], atol=1e-14)
-        row1 = basis.design_matrix(np.array([1.0]))[0]
+        row1 = design_matrix(4, np.array([1.0]))[0]
         assert np.allclose(row1, [0, 0, 0, 1.0], atol=1e-14)
 
     def test_partition_of_unity(self):
-        basis = build_basis(n_basis=10)
-        rows = basis.design_matrix(uniform_params(101))
+        rows = design_matrix(10, uniform_params(101))
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
 
     def test_too_few_basis_functions(self):
-        with pytest.raises(ValueError):
-            build_basis(n_basis=3)
+        with pytest.raises(ValueError, match="at least the order"):
+            design_matrix(3, uniform_params(10))
+
+    def test_out_of_domain(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            design_matrix(10, np.array([0.5, 1.2]))
 
     @settings(max_examples=20)
-    @given(st.integers(min_value=4, max_value=25))
-    def test_knot_count(self, n_basis):
-        basis = build_basis(n_basis=n_basis)
-        assert basis.knots.shape[0] == n_basis + ORDER
+    @given(st.integers(min_value=ORDER, max_value=25), st.integers(min_value=0, max_value=40))
+    def test_shape(self, n_basis, m):
+        assert design_matrix(n_basis, np.linspace(0.0, 1.0, m)).shape == (m, n_basis)
+
+    def test_negative_zero_reads_positive_zero(self):
+        """Values are added onto zeros, as scipy's sparse-to-dense step does."""
+        grid = np.array([-0.0, 0.5, 1.0])
+        assert bitwise_equal(design_matrix(7, grid), build_basis(7).design_matrix(grid))
+        assert not np.signbit(design_matrix(7, grid)).any()
+
+
+@st.composite
+def basis_and_grid(draw):
+    """n_basis in 4..120 and a sorted grid in [0, 1] holding 0, 1 and some knot values."""
+    n_basis = draw(st.integers(min_value=ORDER, max_value=120))
+    interior = build_basis(n_basis).knots[ORDER:-ORDER]
+    knots = draw(st.lists(st.sampled_from(interior), max_size=8)) if interior.size else []
+    points = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40))
+    return n_basis, np.sort(np.array([0.0, 1.0, *knots, *points]))
+
+
+class TestDesignMatrixMatchesScipyOracle:
+    """Bitwise the scipy design matrix of the oracle basis, values and sign bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(basis_and_grid())
+    def test_random_sorted_grids(self, case):
+        n_basis, grid = case
+        assert bitwise_equal(design_matrix(n_basis, grid), build_basis(n_basis).design_matrix(grid))
+
+    def test_uniform_grid_sweep(self):
+        """Every uniform grid of 3..259 points for n_basis 4..120.
+
+        Each row depends on its own point only, so one matrix at all the
+        grids' points, stacked, holds every grid's matrix.
+        """
+        stacked = np.concatenate([uniform_params(m) for m in range(3, 260)])
+        for n_basis in range(ORDER, 121):
+            assert bitwise_equal(design_matrix(n_basis, stacked), build_basis(n_basis).design_matrix(stacked)), n_basis
 
 
 class TestSmooth:

@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvemorph import pipelines
-from curvemorph.cli import InputError, LANDMARK_HEADER, apply_labels, main, read_labels_csv, read_landmark_csv, write_landmark_csv
+from curvemorph.cli import (
+    InputError,
+    LANDMARK_HEADER,
+    apply_labels,
+    main,
+    read_config_file,
+    read_labels_csv,
+    read_landmark_csv,
+    write_landmark_csv,
+)
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.simgen import SimConfig, generate_replicate
 
@@ -256,6 +265,25 @@ class TestInputErrorLeavesNoOutput:
         assert main(args + [arg for key, path in files.items() for arg in (f"--{key}", str(path))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: cannot read ") and str(files[reader]) in err and "0xff" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    @pytest.mark.parametrize("layout", ["two-directories", "same-file", "directory-and-glob"])
+    def test_repeated_replicate_name(self, tmp_path, capsys, command, layout):
+        """Results are keyed by file stem, so two files of one stem would overwrite each other's."""
+        for sub, seed in (("a", 4), ("b", 5)):
+            (tmp_path / sub).mkdir()
+            write_dataset(tmp_path / sub / "x.csv", small_dataset(seed=seed, sizes=(3, 3, 3, 3), n_points=10))
+        first, second = {
+            "two-directories": (tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"),
+            "same-file": (tmp_path / "a" / "x.csv", tmp_path / "a" / "x.csv"),
+            "directory-and-glob": (tmp_path / "a", tmp_path / "a" / "*.csv"),
+        }[layout]
+        out = tmp_path / "o"
+        assert main([command, "--data", f"{first},{second}", "--out", str(out), "--pipelines", "GM"]) == 2
+        err = capsys.readouterr().err
+        assert "replicate name 'x' given twice" in err
+        assert err.count(str(tmp_path / "a" / "x.csv")) + err.count(str(tmp_path / "b" / "x.csv")) == 2
         assert not out.exists()
 
 
@@ -576,6 +604,45 @@ class TestConfigFile:
             args += ["--config", str(cfg)]
         assert main(args) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,expected", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)])
+    def test_boolean_values(self, tmp_path, value, expected):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"svg = {value}\n")
+        assert read_config_file(str(cfg)) == {"svg": expected}
+
+    @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+    def test_other_boolean_values_are_input_errors(self, tmp_path, capsys, value):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=3, sizes=(3, 3, 3, 3), n_points=10))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"pipelines=GM\nsvg={value}\n")
+        out = tmp_path / "o"
+        assert main(["classify", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {cfg}:2: expected 1/0, true/false or yes/no")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name,content,message",
+        [
+            ("manifest.json", b"{bad", "cannot read {}: Expecting"),
+            ("manifest.json", b"\xff", "cannot read {}: 'utf-8' codec"),
+            ("manifest.json", b"[]", "{}: expected a JSON object"),
+            ("manifest.json", b'{"failures": 5}', "{}: expected a JSON object whose failures are a list"),
+            ("mse.csv", b"pipeline,mean\n\xff\n", "cannot read {}: 'utf-8' codec"),
+        ],
+        ids=["manifest-not-json", "manifest-not-utf8", "manifest-not-object", "failures-not-list", "table-not-utf8"],
+    )
+    def test_report_of_unreadable_file_is_an_input_error(self, tmp_path, capsys, name, content, message):
+        (tmp_path / "manifest.json").write_text('{"command": "run", "seed": 0}\n')
+        (tmp_path / name).write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: " + message.format(tmp_path / name))
+
+    def test_report_prints_failures_that_are_not_strings(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"command": "run", "failures": ["rep/GM: singular", 7]}\n')
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("failures:\n  rep/GM: singular\n  7\n")
 
     def test_report_prints_tables(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

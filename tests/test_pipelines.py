@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from curvemorph import pipelines
-from curvemorph.basis import build_basis
 from curvemorph.curvetools import uniform_params
 from curvemorph.landmarks import LandmarkConfiguration, center, superimpose
 from curvemorph.pipelines import (
@@ -26,7 +25,7 @@ from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, soft_warp, to_s
 
 import oracles
 from helpers import benchmark_helix_replicate, bitwise_equal, phase_family, score_rel, separated_mode_family
-from oracles import arclength_reparameterise, curve_from_points, evaluate, resample_uniform, rotation_align_srvf, smooth, warp_action
+from oracles import arclength_reparameterise, build_basis, curve_from_points, evaluate, resample_uniform, rotation_align_srvf, smooth, warp_action
 
 
 class TestIdsAndSettings:

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -23,6 +26,7 @@ from curvemorph.srvf import (
     to_srvf,
 )
 
+from helpers import bitwise_equal
 from oracles import SampledCurve, elastic_distance_sq, rotation_align_srvf, warp_action
 
 
@@ -290,6 +294,68 @@ class TestStackedKernelsMatchLoopOracle:
         with mock.patch.object(srvf, "_dp_warp", _dp_warp):
             oracle_warp = estimate_warp(q_target, q_source, lam)
         assert np.max(np.abs(warp.gamma - oracle_warp.gamma)) <= 1e-12
+
+
+def _edge_costs_fresh_gathers(q_target, q_source, dt, lam):
+    """Reference: ``srvf._edge_costs`` gathering into new arrays on every call."""
+    idx_t, idx_lo, idx_hi, w_t, w_lo, w_hi = srvf._edge_tables(q_target.shape[0])
+    q_t, q_s = q_target.ravel(), q_source.ravel()
+    a = q_t[idx_t] * w_t
+    b = q_s[idx_lo] * w_lo + q_s[idx_hi] * w_hi
+    costs = np.matmul(a, b.transpose(0, 2, 1))
+    costs *= -2.0
+    costs += np.einsum("kir,kir->ki", a, a)[:, :, None]
+    costs += np.einsum("kjr,kjr->kj", b, b)[:, None, :]
+    costs *= dt
+    costs += (lam * (np.sqrt(srvf._DP_DJ / srvf._DP_DI) - 1.0) ** 2 * (srvf._DP_DI * dt))[:, None, None]
+    return costs
+
+
+class TestEdgeCostGatherBuffers:
+    """``_edge_costs`` gathers into per-thread buffers that it reuses per grid size."""
+
+    def test_bitwise_fresh_gathers_across_grid_sizes(self):
+        results = []
+        for seed, m in enumerate([30, 30, 12, 60, 30]):
+            q_target, q_source = smooth_random_q(m, seed), smooth_random_q(m, seed + 7)
+            dt = float(q_target.params[1])
+            results.append((srvf._edge_costs(q_target.q, q_source.q, dt, 0.01), q_target.q, q_source.q, dt))
+        # Every result is still its own array after later calls reused the buffers.
+        for costs, q_t, q_s, dt in results:
+            assert bitwise_equal(costs, _edge_costs_fresh_gathers(q_t, q_s, dt, 0.01))
+
+    def test_threads_do_not_share_buffers(self):
+        """More threads than cores, switching often, on two grid sizes: no call sees another's gathers."""
+        cases = [(smooth_random_q(m, seed), smooth_random_q(m, seed + 1)) for seed, m in enumerate([20, 40] * 4)]
+
+        def costs(case):
+            q_target, q_source = case
+            return [srvf._edge_costs(q_target.q, q_source.q, 0.05, 0.0) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                per_case = [future.result(timeout=60) for future in [pool.submit(costs, case) for case in cases]]
+        finally:
+            sys.setswitchinterval(interval)
+        for (q_target, q_source), results in zip(cases, per_case):
+            expected = _edge_costs_fresh_gathers(q_target.q, q_source.q, 0.05, 0.0)
+            assert all(bitwise_equal(r, expected) for r in results)
+
+    @pytest.mark.parametrize("m", [30, 60, 120])
+    def test_warm_call_allocates_less_than_one_gather(self, m):
+        q_target, q_source = smooth_random_q(m, 1), smooth_random_q(m, 2)
+        dt = float(q_target.params[1])
+        srvf._edge_costs(q_target.q, q_source.q, dt, 0.1)
+        tracemalloc.start()
+        try:
+            costs = srvf._edge_costs(q_target.q, q_source.q, dt, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gather_bytes = len(_DP_STEPS) * m * 3 * (srvf._DP_DEPTH + 1) * 8
+        assert peak - costs.nbytes < gather_bytes
 
 
 class TestSoftWarp:

@@ -3,10 +3,14 @@
 Every public module-level function or class of a ``curvemorph`` module must
 be read somewhere in ``src/curvemorph`` (as a name or an attribute), not
 only defined; a function that only tests call belongs with the tests.
-Every name the package exports must resolve.
+Every name the package exports must resolve.  numpy is the one runtime
+dependency: the package imports nothing else outside the standard library.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import curvemorph
@@ -44,3 +48,22 @@ def test_every_public_definition_has_a_caller_in_src():
 
 def test_every_exported_name_resolves():
     assert [name for name in curvemorph.__all__ if not hasattr(curvemorph, name)] == []
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "curvemorph"}
+    imported = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert sorted(imported - allowed) == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, curvemorph.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
