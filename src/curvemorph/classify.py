@@ -1,8 +1,9 @@
 """Classifiers over component scores and the stratified cross-validation protocol.
 
 All three classifiers (LDA, multinomial logistic regression, linear SVM) are
-deterministic and untuned: fixed ridge, fixed penalty, C = 1, cyclic
-coordinate order, ties broken toward the lowest class index.  Cross
+deterministic and untuned: fixed ridge, fixed penalty, C = 1, ties broken
+toward the lowest class index.  The two iterative fits solve to their
+optimum and report whether they got there (``converged``).  Cross
 validation refits the entire pipeline on each training fold and projects the
 held-out specimens through the trained transforms, so nothing leaks.
 """
@@ -19,6 +20,11 @@ from curvemorph.pipelines import fit_pipeline
 CLASSIFIER_NAMES = ("lda", "multinomial", "svm")
 N_FOLDS = 5  # cross-validation folds, here and in the CLI's best-pair search
 _PENALTY = 1e-6  # L2 penalty on the multinomial weights (intercepts free)
+_GRADIENT_TOL = 1e-6  # multinomial fits stop at this gradient norm
+_NEWTON_MAX_ITER = 100
+_SVM_KKT_TOL = 1e-10  # largest KKT violation the SVM dual may keep
+_SVM_GAP_TOL = 1e-6  # relative duality gap that certifies an SVM fit
+_SVM_MAX_ITER = 1000  # active-set steps per binary SVM
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +72,7 @@ def lda_fit(scores: np.ndarray, labels: np.ndarray) -> LdaModel:
     for c, cls in enumerate(classes):
         block = x[labels == cls]
         if block.shape[0] < 2:
-            raise ValueError("insufficient class data")
+            raise ValueError(f"insufficient class data: class {str(cls)!r} has 1 row; LDA needs at least 2")
         means[c] = block.mean(axis=0)
         pooled += (block - means[c]).T @ (block - means[c])
         priors[c] = block.shape[0] / n
@@ -117,34 +123,58 @@ def multinomial_gradient(weights, intercepts, x, y_onehot):
 
 
 def multinomial_fit(scores: np.ndarray, labels: np.ndarray) -> MultinomialModel:
-    """Full-batch gradient ascent with backtracking line search to gradient norm 1e-6, at most 500 steps."""
+    """Newton's method with an Armijo line search to gradient norm 1e-6, at most 100 steps.
+
+    The parameters are theta = [W; b], of shape (k + 1, C).  The Hessian of
+    the negative objective, sum_i (diag p_i - p_i p_i^T) kron x~_i x~_i^T
+    with x~_i = [x_i, 1], is one product of the per-row class covariances
+    with the per-row outer products (built once per fit), plus the penalty
+    on the W block.  A common shift of the intercepts changes no
+    probability, so it spans the Hessian's null space, and the gradient is
+    orthogonal to it: adding u u^T for the unit intercept-sum vector u makes
+    the matrix positive definite, and its Cholesky solve is the
+    pseudo-inverse step, which keeps the intercepts summing to 0.
+    ``converged`` is False when the cap or a failed line search stops it.
+    """
     x = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     classes = np.unique(labels)
     y_onehot = (labels[:, None] == classes[None, :]).astype(float)
-    weights = np.zeros((x.shape[1], classes.size))
+    n, k = x.shape
+    size = (k + 1) * classes.size
+    xt = np.hstack([x, np.ones((n, 1))])
+    outer = (xt[:, :, None] * xt[:, None, :]).reshape(n, -1)
+    u = np.zeros(size)
+    u[k * classes.size :] = 1.0 / np.sqrt(classes.size)
+    fixed = np.diag(np.repeat(np.r_[np.full(k, _PENALTY), 0.0], classes.size)) + np.outer(u, u)
+    weights = np.zeros((k, classes.size))
     intercepts = np.zeros(classes.size)
 
     obj = multinomial_objective(weights, intercepts, x, y_onehot)
-    step = 1.0
     converged = False
     it = 0
-    for it in range(1, 501):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         gw, gb = multinomial_gradient(weights, intercepts, x, y_onehot)
-        gnorm_sq = float(np.sum(gw**2) + np.sum(gb**2))
-        if np.sqrt(gnorm_sq) <= 1e-6:
+        grad = np.vstack([gw, gb]).ravel()
+        if np.sqrt(grad @ grad) <= _GRADIENT_TOL:
             converged = True
             break
-        step = min(step * 2.0, 1e6)
-        while True:
-            w_new = weights + step * gw
-            b_new = intercepts + step * gb
+        probs = _softmax(x @ weights + intercepts)
+        cov = (probs[:, :, None] * (np.eye(classes.size) - probs[:, None, :])).reshape(n, -1)
+        hessian = (outer.T @ cov).reshape(k + 1, k + 1, classes.size, classes.size).transpose(0, 2, 1, 3)
+        chol = np.linalg.cholesky(hessian.reshape(size, size) + fixed)
+        direction = np.linalg.solve(chol.T, np.linalg.solve(chol, grad)).reshape(k + 1, classes.size)
+        slope = float(grad @ direction.ravel())
+        step = 1.0
+        while step >= 1e-10:
+            w_new = weights + step * direction[:k]
+            b_new = intercepts + step * direction[k]
             obj_new = multinomial_objective(w_new, b_new, x, y_onehot)
-            if obj_new >= obj + 0.5 * step * gnorm_sq or step < 1e-16:
+            if obj_new >= obj + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if step < 1e-16:
-            break  # no ascent direction left at floating precision
+        else:
+            break  # no ascent along the Newton direction at floating precision
         weights, intercepts, obj = w_new, b_new, obj_new
     return MultinomialModel(classes=classes, weights=weights, intercepts=intercepts, converged=converged, n_iter=it)
 
@@ -162,45 +192,84 @@ def multinomial_predict(model: MultinomialModel, scores: np.ndarray) -> np.ndarr
 class SvmModel:
     classes: np.ndarray
     pair_weights: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
+    n_iter: list[int] = field(default_factory=list)  # active-set steps, per pair
+    converged: list[bool] = field(default_factory=list)  # per pair
 
 
-def _svm_binary(x: np.ndarray, y: np.ndarray, c_reg: float, tol: float, max_sweeps: int) -> np.ndarray:
-    """Dual coordinate descent for the L1-loss linear SVM, bias as augmented feature.
+def _svm_binary(x: np.ndarray, y: np.ndarray, c_reg: float) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Active-set solution of the L1-loss linear SVM dual, bias as augmented feature.
 
-    The sweep keeps the duals, labels and squared row norms as Python floats
-    and takes one BLAS dot per visited row, which keeps interpreter overhead
-    per visit small.  Every visit does the same floating-point operations in
-    the same order as a numpy-scalar loop would, so the weights are bitwise
-    that loop's (``tests/test_classify.py`` keeps one as an oracle).
+    Minimises 1/2 a^T Z Z^T a - 1^T a over 0 <= a <= C, with Z = y * [x, 1]
+    and w = Z^T a, from a = 0.  Rows strictly inside the box are the free
+    set F, and g = Z w - 1 is the gradient.  A step solves
+    Z_F Z_F^T d = -g_F through the SVD of Z_F (so the rank decision sees
+    the condition number of Z_F, not its square); when -g_F has a part
+    outside that matrix's range (more free rows than its rank: n < d,
+    duplicated or contradictory rows), the step follows that zero-curvature
+    part instead.  Either step ends at its line minimum or at the first
+    free row to reach 0 or C, which then stays at that bound.  Once
+    |g_F| <= tol = ``_SVM_KKT_TOL``, the bound row with the largest KKT
+    violation (g < -tol at 0, g > tol at C) is freed; when none is left,
+    the relative duality gap must be at most ``_SVM_GAP_TOL``.  The
+    tolerance is absolute, for inputs of unit scale such as the
+    standardized scores that ``_fit_predict`` passes.  Returns the
+    weights, the duals, the number of steps, and whether both tests passed
+    within ``_SVM_MAX_ITER`` steps.
     """
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])
-    n = xa.shape[0]
-    rows = list(xa)
-    ys = y.tolist()
-    qdiag = np.sum(xa**2, axis=1).tolist()
-    alpha = [0.0] * n
-    w = np.zeros(xa.shape[1])
-    for _ in range(max_sweeps):
-        for i in range(n):
-            row, y_i, a_i = rows[i], ys[i], alpha[i]
-            a_new = a_i - (y_i * float(row.dot(w)) - 1.0) / qdiag[i]
-            if a_new < 0.0:
-                a_new = 0.0
-            elif a_new > c_reg:
-                a_new = c_reg
-            if a_new != a_i:
-                w += ((a_new - a_i) * y_i) * row
-                alpha[i] = a_new
-        margins = 1.0 - y * (xa @ w)
-        primal = 0.5 * w @ w + c_reg * np.sum(np.maximum(margins, 0.0))
-        dual = np.sum(np.array(alpha)) - 0.5 * w @ w
-        if primal - dual <= tol * max(1.0, abs(primal)):
+    z = y[:, None] * np.hstack([x, np.ones((x.shape[0], 1))])
+    alpha = np.zeros(z.shape[0])
+    free = np.zeros(z.shape[0], dtype=bool)
+    rank_tol = max(z.shape) * np.finfo(float).eps
+    optimal = False
+    n_iter = 0
+    while True:
+        g = z @ (alpha @ z) - 1.0
+        if not np.any(np.abs(g[free]) > _SVM_KKT_TOL):
+            violation = np.where(free, 0.0, np.where(alpha == 0.0, -g, g))
+            j = int(np.argmax(violation))
+            if violation[j] <= _SVM_KKT_TOL:
+                optimal = True
+                break
+            free[j] = True
+        if n_iter == _SVM_MAX_ITER:
             break
-    return w
+        n_iter += 1
+        f = np.flatnonzero(free)
+        u, s, _ = np.linalg.svd(z[f], full_matrices=False)
+        keep = s > s[0] * rank_tol
+        u, s = u[:, keep], s[keep]
+        ug = u.T @ g[f]
+        d = u @ ug - g[f]  # the part of -g_F outside the range of Z_F Z_F^T
+        if np.max(np.abs(d)) <= _SVM_KKT_TOL:
+            d = -(u @ (ug / s**2))
+        dw = d @ z[f]
+        curvature = float(dw @ dw)
+        step = -float(g[f] @ d) / curvature if curvature > 0.0 else np.inf
+        a = alpha[f]
+        room = np.full(f.size, np.inf)
+        down, up = d < 0.0, d > 0.0
+        room[down] = -a[down] / d[down]
+        room[up] = (c_reg - a[up]) / d[up]
+        j = int(np.argmin(room))
+        if room[j] <= step:
+            alpha[f] = a + room[j] * d
+            alpha[f[j]] = 0.0 if d[j] < 0.0 else c_reg
+            free[f[j]] = False
+        else:
+            alpha[f] = a + step * d
+    w = alpha @ z
+    primal = 0.5 * w @ w + c_reg * np.sum(np.maximum(1.0 - z @ w, 0.0))
+    dual = np.sum(alpha) - 0.5 * w @ w
+    return w, alpha, n_iter, optimal and primal - dual <= _SVM_GAP_TOL * max(1.0, abs(primal))
 
 
 def svm_linear_fit(scores: np.ndarray, labels: np.ndarray) -> SvmModel:
-    """One-vs-one soft-margin linear SVMs (C = 1, relative gap 1e-6, 1000 sweeps), in a fixed pair order."""
+    """One-vs-one soft-margin linear SVMs (C = 1) in a fixed pair order, each solved by the active-set method.
+
+    A pair's fit is converged when its KKT violations are at most 1e-10
+    and its relative duality gap at most 1e-6 within 1000 steps; the model
+    keeps each pair's step count and flag.
+    """
     x = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -209,8 +278,10 @@ def svm_linear_fit(scores: np.ndarray, labels: np.ndarray) -> SvmModel:
         for b in range(a + 1, classes.size):
             mask = (labels == classes[a]) | (labels == classes[b])
             y = np.where(labels[mask] == classes[a], 1.0, -1.0)
-            w = _svm_binary(x[mask], y, 1.0, 1e-6, max_sweeps=1000)
+            w, _, n_iter, converged = _svm_binary(x[mask], y, 1.0)
             model.pair_weights.append((a, b, w))
+            model.n_iter.append(n_iter)
+            model.converged.append(converged)
     return model
 
 
@@ -237,6 +308,7 @@ class CvReport:
     mean_accuracy: float
     sd_accuracy: float
     confusion: np.ndarray
+    unconverged_folds: int  # folds whose classifier fit stopped short of its optimum
 
 
 def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -256,16 +328,19 @@ def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:
     return folds
 
 
-def _fit_predict(classifier: str, train_x, train_y, test_x) -> np.ndarray:
+def _fit_predict(classifier: str, train_x, train_y, test_x) -> tuple[np.ndarray, bool]:
+    """Predicted labels of the test rows, and whether the classifier's fit converged."""
     std = standardize_fit(train_x)
     train_x = standardize_apply(std, train_x)
     test_x = standardize_apply(std, test_x)
     if classifier == "lda":
-        return lda_predict(lda_fit(train_x, train_y), test_x)
+        return lda_predict(lda_fit(train_x, train_y), test_x), True
     if classifier == "multinomial":
-        return multinomial_predict(multinomial_fit(train_x, train_y), test_x)
+        model = multinomial_fit(train_x, train_y)
+        return multinomial_predict(model, test_x), model.converged
     if classifier == "svm":
-        return svm_predict(svm_linear_fit(train_x, train_y), test_x)
+        model = svm_linear_fit(train_x, train_y)
+        return svm_predict(model, test_x), all(model.converged)
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
@@ -286,8 +361,16 @@ def cross_validate(
     if counts.min() < 2:
         raise ValueError(f"label {str(classes[counts.argmin()])!r} has 1 specimen; cross validation needs at least 2 per class")
     folds = stratified_kfold(labels, seed=seed)
+    if classifier == "lda":
+        # LDA needs 2 training rows of every class in every fold: check the folds before any fit
+        held_out = np.array([[np.sum((folds == f) & (labels == cls)) for cls in classes] for f in range(N_FOLDS)])
+        short = np.flatnonzero((counts - held_out).min(axis=0) < 2)
+        if short.size:
+            label, count = str(classes[short[0]]), counts[short[0]]
+            raise ValueError(f"label {label!r} has {count} specimens; LDA cross validation needs at least 3 per class")
 
     per_fold = np.zeros(N_FOLDS)
+    unconverged = 0
     confusion = np.zeros((classes.size, classes.size), dtype=int)
     for f in range(N_FOLDS):
         train_idx = np.flatnonzero(folds != f)
@@ -295,7 +378,8 @@ def cross_validate(
         fitted = fit_pipeline(pipeline_id, [configs[i] for i in train_idx], settings)
         train_scores = fitted.scores
         test_scores = fitted.transform([configs[i] for i in test_idx])
-        predicted = _fit_predict(classifier, train_scores, labels[train_idx], test_scores)
+        predicted, converged = _fit_predict(classifier, train_scores, labels[train_idx], test_scores)
+        unconverged += not converged
         actual = labels[test_idx]
         per_fold[f] = float(np.mean(predicted == actual))
         for a, p in zip(actual, predicted):
@@ -309,4 +393,5 @@ def cross_validate(
         mean_accuracy=float(per_fold.mean()),
         sd_accuracy=float(per_fold.std(ddof=1)),
         confusion=confusion,
+        unconverged_folds=unconverged,
     )

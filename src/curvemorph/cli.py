@@ -272,7 +272,9 @@ def _out_dir(values: dict) -> Path:
     return path
 
 
-def write_manifest(out: Path, command: str, values: dict, outputs: list[str], failures: list[str]) -> None:
+def write_manifest(
+    out: Path, command: str, values: dict, outputs: list[str], failures: list[str], warnings: list[str]
+) -> None:
     manifest = {
         "tool": f"curvemorph {__version__}",
         "command": command,
@@ -280,6 +282,7 @@ def write_manifest(out: Path, command: str, values: dict, outputs: list[str], fa
         "settings": {k: v for k, v in sorted(values.items()) if k != "out"},
         "outputs": sorted(outputs),
         "failures": failures,
+        "warnings": warnings,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -287,10 +290,16 @@ def write_manifest(out: Path, command: str, values: dict, outputs: list[str], fa
 
 
 def _finish(
-    out: Path, command: str, values: dict, outputs: list[str], failures: list[str], wrote: bool, all_failed: str, done: str
+    out: Path, command: str, values: dict, outputs: list[str], failures: list[str], warnings: list[str], wrote: bool,
+    all_failed: str, done: str,
 ) -> int:
-    """Write the manifest; exit 0 without failures, 4 when some output was written, else 3."""
-    write_manifest(out, command, values, outputs, failures)
+    """Write the manifest; exit 0 without failures, 4 when some output was written, else 3.
+
+    Warnings go to the manifest and to standard error; they do not change the exit code.
+    """
+    write_manifest(out, command, values, outputs, failures, warnings)
+    if warnings:
+        print("warnings:\n  " + "\n  ".join(warnings), file=sys.stderr)
     if failures:
         print(f"{'partial failure' if wrote else all_failed}:\n  " + "\n  ".join(failures), file=sys.stderr)
         return 4 if wrote else 3
@@ -317,7 +326,7 @@ def cmd_simulate(args) -> int:
         path = out / f"replicate_{rep:03d}.csv"
         write_landmark_csv(path, generate_replicate(config, rep))
         outputs.append(path.name)
-    write_manifest(out, "simulate", values | {"sim_config": asdict(config)}, outputs, [])
+    write_manifest(out, "simulate", values | {"sim_config": asdict(config)}, outputs, [], [])
     print(f"wrote {len(outputs)} replicate(s) to {out}")
     return 0
 
@@ -420,7 +429,7 @@ def cmd_run(args) -> int:
         write_csv(out / "mse.csv", ["pipeline", "mean", "sd"], mse_rows)
         outputs += ["k95.csv", "mse.csv"]
 
-    return _finish(out, "run", values, outputs, failures, bool(k95_rows), "all pipelines failed",
+    return _finish(out, "run", values, outputs, failures, [], bool(k95_rows), "all pipelines failed",
                    f"wrote results for {len(pipelines)} pipeline(s) to {out}")
 
 
@@ -436,7 +445,7 @@ def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tu
             if np.unique(labels[tr]).size < 2:
                 continue
             try:
-                pred = _fit_predict("lda", pair[tr], labels[tr], pair[te])
+                pred, _ = _fit_predict("lda", pair[tr], labels[tr], pair[te])
                 accs.append(float(np.mean(pred == labels[te])))
             except ValueError:
                 continue
@@ -502,6 +511,11 @@ def cmd_classify(args) -> int:
     results, failures = _run_tasks(tasks, worker)
 
     rows, summary = [], []
+    warnings = [
+        f"{'/'.join(key)}: {report.unconverged_folds} of {N_FOLDS} fold fits did not converge"
+        for key, report in results.items()
+        if not isinstance(report, Exception) and report.unconverged_folds
+    ]
     for pid in pipelines:
         for clf in classifiers:
             accs = []
@@ -547,7 +561,7 @@ def cmd_classify(args) -> int:
             )
             outputs += [f"pc_pairs_{pid}.csv", f"pc_pairs_{pid}.svg"]
 
-    return _finish(out, "classify", values, outputs, failures, bool(rows), "all classification tasks failed",
+    return _finish(out, "classify", values, outputs, failures, warnings, bool(rows), "all classification tasks failed",
                    f"wrote cross-validation report to {out}")
 
 
@@ -563,6 +577,8 @@ def cmd_report(args) -> int:
         raise InputError(f"cannot read {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("failures", []), list):
         raise InputError(f"{manifest_path}: expected a JSON object whose failures are a list")
+    if not isinstance(manifest.get("warnings", []), list):
+        raise InputError(f"{manifest_path}: expected a JSON object whose warnings are a list")
     lines = [f"curvemorph results in {out}", f"command: {manifest.get('command')}", f"seed: {manifest.get('seed')}"]
     for table in ("k95.csv", "mse.csv", "cv_summary.csv"):
         path = out / table
@@ -583,10 +599,9 @@ def cmd_report(args) -> int:
                 except ValueError:
                     pretty.append(cell)
             lines.append("  " + "  ".join(f"{c:>14}" for c in pretty))
-    if manifest.get("failures"):
-        lines.append("")
-        lines.append("failures:")
-        lines += [f"  {f}" for f in manifest["failures"]]
+    for key in ("warnings", "failures"):
+        if manifest.get(key):
+            lines += ["", f"{key}:"] + [f"  {item}" for item in manifest[key]]
     print("\n".join(lines))
     return 0
 

@@ -13,7 +13,9 @@ arithmetic on stacked arrays (``curvetools.resample_uniform`` and
 ``FittedPipeline.reconstruct`` of all specimens at once, and
 ``basis.design_matrix`` by de Boor's recursion); the tests use
 these as oracles for those array paths and as readable distance and
-warp-action helpers.
+warp-action helpers.  The classifiers' former solvers, the dual
+coordinate sweep of the linear SVM and the gradient ascent of the
+multinomial fit, serve as oracles of the active-set and Newton solvers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from curvemorph.basis import ORDER, fit_coefficients
+from curvemorph.classify import MultinomialModel, multinomial_gradient, multinomial_objective
 from curvemorph.curvetools import uniform_params
 from curvemorph.fpca import mfpca_reconstruct
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, _canonical_frame
@@ -333,3 +336,71 @@ def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
     if self.chain.backbone == "elastic":
         recon = center(from_srvf(recon, self.grid)) * self.sizes[index]
     return superimpose(recon, self.targets[index])
+
+
+def svm_binary_sweep(x: np.ndarray, y: np.ndarray, c_reg: float, tol: float, max_sweeps: int) -> np.ndarray:
+    """Dual coordinate descent for the L1-loss linear SVM, bias as augmented feature.
+
+    The sweep keeps the duals, labels and squared row norms as Python floats
+    and takes one BLAS dot per visited row, which keeps interpreter overhead
+    per visit small.  Every visit does the same floating-point operations in
+    the same order as a numpy-scalar loop would, so the weights are bitwise
+    that loop's (``tests/test_classify.py`` keeps one as an oracle).
+    """
+    xa = np.hstack([x, np.ones((x.shape[0], 1))])
+    n = xa.shape[0]
+    rows = list(xa)
+    ys = y.tolist()
+    qdiag = np.sum(xa**2, axis=1).tolist()
+    alpha = [0.0] * n
+    w = np.zeros(xa.shape[1])
+    for _ in range(max_sweeps):
+        for i in range(n):
+            row, y_i, a_i = rows[i], ys[i], alpha[i]
+            a_new = a_i - (y_i * float(row.dot(w)) - 1.0) / qdiag[i]
+            if a_new < 0.0:
+                a_new = 0.0
+            elif a_new > c_reg:
+                a_new = c_reg
+            if a_new != a_i:
+                w += ((a_new - a_i) * y_i) * row
+                alpha[i] = a_new
+        margins = 1.0 - y * (xa @ w)
+        primal = 0.5 * w @ w + c_reg * np.sum(np.maximum(margins, 0.0))
+        dual = np.sum(np.array(alpha)) - 0.5 * w @ w
+        if primal - dual <= tol * max(1.0, abs(primal)):
+            break
+    return w
+
+
+def multinomial_fit_ascent(scores: np.ndarray, labels: np.ndarray) -> MultinomialModel:
+    """Full-batch gradient ascent with backtracking line search to gradient norm 1e-6, at most 500 steps."""
+    x = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    y_onehot = (labels[:, None] == classes[None, :]).astype(float)
+    weights = np.zeros((x.shape[1], classes.size))
+    intercepts = np.zeros(classes.size)
+
+    obj = multinomial_objective(weights, intercepts, x, y_onehot)
+    step = 1.0
+    converged = False
+    it = 0
+    for it in range(1, 501):
+        gw, gb = multinomial_gradient(weights, intercepts, x, y_onehot)
+        gnorm_sq = float(np.sum(gw**2) + np.sum(gb**2))
+        if np.sqrt(gnorm_sq) <= 1e-6:
+            converged = True
+            break
+        step = min(step * 2.0, 1e6)
+        while True:
+            w_new = weights + step * gw
+            b_new = intercepts + step * gb
+            obj_new = multinomial_objective(w_new, b_new, x, y_onehot)
+            if obj_new >= obj + 0.5 * step * gnorm_sq or step < 1e-16:
+                break
+            step *= 0.5
+        if step < 1e-16:
+            break  # no ascent direction left at floating precision
+        weights, intercepts, obj = w_new, b_new, obj_new
+    return MultinomialModel(classes=classes, weights=weights, intercepts=intercepts, converged=converged, n_iter=it)

@@ -22,6 +22,7 @@ from curvemorph.classify import (
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import fit_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
+from oracles import multinomial_fit_ascent, svm_binary_sweep
 
 
 def two_blob_data(rng, n_per=40, gap=10.0, dim=4):
@@ -83,6 +84,12 @@ class TestLda:
         with pytest.raises(ValueError, match="insufficient class data"):
             lda_fit(x, y)
 
+    def test_singleton_class_is_named(self):
+        x = np.random.default_rng(5).normal(size=(5, 3))
+        y = np.array(["a", "a", "b", "a", "a"])
+        with pytest.raises(ValueError, match="^insufficient class data: class 'b' has 1 row; LDA needs at least 2$"):
+            lda_fit(x, y)
+
 
 class TestMultinomial:
     def test_separable(self):
@@ -127,7 +134,57 @@ class TestMultinomial:
         rng = np.random.default_rng(9)
         x, y = two_blob_data(rng, gap=0.1, n_per=15)
         model = multinomial_fit(x, y)
-        assert model.n_iter <= 500
+        assert model.converged
+        assert model.n_iter <= 30
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x, y = two_blob_data(rng, gap=0.1, n_per=15)
+        monkeypatch.setattr(classify, "_NEWTON_MAX_ITER", 1)
+        model = multinomial_fit(x, y)
+        assert (model.converged, model.n_iter) == (False, 1)
+
+    def test_intercepts_sum_to_zero(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(45, 3))
+        labels = np.repeat(["a", "b", "c"], 15)
+        model = multinomial_fit(x + (labels == "b")[:, None], labels)
+        assert model.converged
+        assert abs(model.intercepts.sum()) < 1e-12
+
+
+def multinomial_data(seed):
+    """Three overlapping classes in three dimensions: a fit with strong curvature, where gradient ascent converges."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(["a", "b", "c"], 20)
+    centers = rng.normal(scale=0.8, size=(3, 3))
+    return rng.normal(size=(60, 3)) + centers[np.searchsorted(["a", "b", "c"], labels)], labels
+
+
+class TestMultinomialNewtonAgainstAscentOracle:
+    """Where the former gradient ascent converges, Newton's optimum is at least as good and predicts alike away from ties."""
+
+    def test_objective_no_lower_and_predictions_agree(self):
+        compared = 0
+        for seed in range(8):
+            x, labels = multinomial_data(seed)
+            oracle = multinomial_fit_ascent(x, labels)
+            if not oracle.converged:
+                continue
+            compared += 1
+            model = multinomial_fit(x, labels)
+            assert model.converged and model.n_iter <= 30
+            y_onehot = (labels[:, None] == model.classes[None, :]).astype(float)
+            got = multinomial_objective(model.weights, model.intercepts, x, y_onehot)
+            expected = multinomial_objective(oracle.weights, oracle.intercepts, x, y_onehot)
+            assert got >= expected - 1e-12 * abs(expected)
+            test = np.random.default_rng(100 + seed).normal(scale=2.0, size=(200, 3))
+            logits = test @ oracle.weights + oracle.intercepts
+            top2 = np.sort(logits, axis=1)[:, -2:]
+            clear = top2[:, 1] - top2[:, 0] > 1e-4
+            assert clear.sum() > 150
+            assert np.array_equal(multinomial_predict(model, test[clear]), multinomial_predict(oracle, test[clear]))
+        assert compared >= 6
 
 
 class TestSvm:
@@ -165,7 +222,7 @@ class TestSvm:
         assert np.mean(svm_predict(model, x) == y) == 1.0
 
 
-# The numpy-scalar form of `classify._svm_binary`, kept verbatim as its oracle.
+# The numpy-scalar form of the dual coordinate sweep (`oracles.svm_binary_sweep`), kept verbatim as its oracle.
 def _svm_binary_loop(x: np.ndarray, y: np.ndarray, c_reg: float, tol: float, max_sweeps: int) -> np.ndarray:
     """Dual coordinate descent for the L1-loss linear SVM, bias as augmented feature."""
     xa = np.hstack([x, np.ones((x.shape[0], 1))])
@@ -188,6 +245,11 @@ def _svm_binary_loop(x: np.ndarray, y: np.ndarray, c_reg: float, tol: float, max
     return w
 
 
+def _uncapped_sweep(x: np.ndarray, y: np.ndarray, c_reg: float) -> np.ndarray:
+    """The coordinate sweep run to a relative duality gap of 1e-13, with no cap it reaches in practice."""
+    return svm_binary_sweep(x, y, c_reg, 1e-13, 10**6)
+
+
 def binary_svm_data(seed, n, d, separable):
     """Labels +-1 with both signs present; separable classes sit 3 sd apart, overlapping ones 0.2 sd."""
     rng = np.random.default_rng(seed)
@@ -196,8 +258,19 @@ def binary_svm_data(seed, n, d, separable):
     return x, y
 
 
+def with_extra_row(x, y, kind):
+    """The problem with row 0 repeated: as a duplicate (same label) or as a contradiction (the other label)."""
+    if kind == "none":
+        return x, y
+    return np.vstack([x, x[:1]]), np.append(y, y[0] if kind == "duplicate" else -y[0])
+
+
+def relative_error(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
 class TestSvmSweepMatchesLoopOracle:
-    """`_svm_binary` keeps the per-element loop's operations, so its weights are bitwise the oracle's."""
+    """The sweep oracle keeps the per-element loop's operations, so its weights are bitwise the loop's."""
 
     @pytest.mark.parametrize("d", [1, 6, 30])
     @pytest.mark.parametrize("n", [2, 7, 40, 125])
@@ -208,7 +281,7 @@ class TestSvmSweepMatchesLoopOracle:
                 for c_reg in (1.0, 0.05):
                     for max_sweeps in (1, 3, 1000):
                         expected = _svm_binary_loop(x, y, c_reg, 1e-6, max_sweeps)
-                        got = classify._svm_binary(x, y, c_reg, 1e-6, max_sweeps)
+                        got = svm_binary_sweep(x, y, c_reg, 1e-6, max_sweeps)
                         assert np.array_equal(got, expected), (seed, separable, c_reg, max_sweeps)
 
     def test_duplicated_row(self):
@@ -217,30 +290,87 @@ class TestSvmSweepMatchesLoopOracle:
             x, y = np.vstack([x, x[5:6]]), np.append(y, y[5])
             for c_reg in (1.0, 0.05):
                 expected = _svm_binary_loop(x, y, c_reg, 1e-6, 1000)
-                assert np.array_equal(classify._svm_binary(x, y, c_reg, 1e-6, 1000), expected)
+                assert np.array_equal(svm_binary_sweep(x, y, c_reg, 1e-6, 1000), expected)
+
+
+class TestSvmActiveSetMatchesUncappedSweep:
+    """The dual's optimum w is unique, so the active-set weights equal the uncapped sweep's up to round-off."""
+
+    @pytest.mark.parametrize("d", [1, 6, 30])
+    @pytest.mark.parametrize("n", [2, 7, 40, 125])
+    def test_weights_within_1e_8(self, n, d):
+        for seed in (0, 1):
+            for separable in (True, False):
+                for kind in ("none", "duplicate", "contradiction"):
+                    x, y = with_extra_row(*binary_svm_data(seed, n, d, separable), kind)
+                    for c_reg in (1.0, 0.05):
+                        w, _, n_iter, converged = classify._svm_binary(x, y, c_reg)
+                        assert converged, (seed, separable, kind, c_reg, n_iter)
+                        assert relative_error(w, _uncapped_sweep(x, y, c_reg)) < 1e-8, (seed, separable, kind, c_reg)
 
     def test_pair_weights_equal_in_order(self, monkeypatch):
         rng = np.random.default_rng(21)
         centers = rng.normal(scale=1.5, size=(4, 5))
         x = np.vstack([rng.normal(size=(15, 5)) + c for c in centers])
         labels = np.repeat(["a", "b", "c", "d"], 15)
-        got = svm_linear_fit(x, labels).pair_weights
-        monkeypatch.setattr(classify, "_svm_binary", _svm_binary_loop)
-        expected = svm_linear_fit(x, labels).pair_weights
-        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected] == [
+        model = svm_linear_fit(x, labels)
+        monkeypatch.setattr(classify, "_svm_binary", lambda x, y, c_reg: (_uncapped_sweep(x, y, c_reg), None, 0, True))
+        expected = svm_linear_fit(x, labels)
+        assert [(a, b) for a, b, _ in model.pair_weights] == [(a, b) for a, b, _ in expected.pair_weights] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
-        for (_, _, w_got), (_, _, w_expected) in zip(got, expected):
-            assert np.array_equal(w_got, w_expected)
+        assert all(model.converged) and len(model.converged) == len(model.n_iter) == 6
+        xa = np.hstack([x, np.ones((x.shape[0], 1))])
+        for (_, _, w_got), (_, _, w_expected) in zip(model.pair_weights, expected.pair_weights):
+            assert relative_error(w_got, w_expected) < 1e-8
+            clear = np.abs(xa @ w_expected) > 1e-6
+            assert np.array_equal(xa[clear] @ w_got >= 0.0, xa[clear] @ w_expected >= 0.0)
+        test = rng.normal(scale=2.0, size=(300, 5))
+        assert np.array_equal(svm_predict(model, test), svm_predict(expected, test))
 
     @pytest.mark.parametrize("pipeline_id", ["GM", "FDM"])
     def test_cross_validation_equal(self, pipeline_id, monkeypatch):
         configs = generate_replicate(SimConfig(seed=11, group_sizes=(6, 6, 6, 6)), 0)
         got = cross_validate(configs, pipeline_id, "svm")
-        monkeypatch.setattr(classify, "_svm_binary", _svm_binary_loop)
+        monkeypatch.setattr(classify, "_svm_binary", lambda x, y, c_reg: (_uncapped_sweep(x, y, c_reg), None, 0, True))
         expected = cross_validate(configs, pipeline_id, "svm")
+        assert got.unconverged_folds == 0
         assert np.array_equal(got.per_fold_accuracy, expected.per_fold_accuracy)
         assert np.array_equal(got.confusion, expected.confusion)
+
+
+class TestSvmActiveSetKkt:
+    """The returned duals satisfy the KKT conditions of the dual to 1e-9, and the weights are Z^T alpha."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=60),
+        d=st.integers(min_value=1, max_value=30),
+        separable=st.booleans(),
+        kind=st.sampled_from(["none", "duplicate", "contradiction"]),
+        c_reg=st.sampled_from([1.0, 0.05]),
+    )
+    def test_kkt(self, seed, n, d, separable, kind, c_reg):
+        x, y = with_extra_row(*binary_svm_data(seed, n, d, separable), kind)
+        w, alpha, _, converged = classify._svm_binary(x, y, c_reg)
+        assert converged
+        z = y[:, None] * np.hstack([x, np.ones((x.shape[0], 1))])
+        assert np.all((alpha >= 0.0) & (alpha <= c_reg))
+        assert np.allclose(w, alpha @ z, rtol=0.0, atol=1e-12)
+        g = z @ w - 1.0
+        at_zero, at_c = alpha == 0.0, alpha == c_reg
+        assert np.all(g[at_zero] >= -1e-9)
+        assert np.all(g[at_c] <= 1e-9)
+        assert np.all(np.abs(g[~at_zero & ~at_c]) <= 1e-9)
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        x, y = binary_svm_data(0, 40, 6, False)
+        monkeypatch.setattr(classify, "_SVM_MAX_ITER", 3)
+        w, _, n_iter, converged = classify._svm_binary(x, y, 1.0)
+        assert (n_iter, converged) == (3, False)
+        model = svm_linear_fit(x, np.where(y > 0, "a", "b"))
+        assert (model.n_iter, model.converged) == ([3], [False])
 
 
 class TestStratifiedKfold:
@@ -316,6 +446,21 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="at least 2 classes"):
             cross_validate(configs, "GM", "svm")
 
+    def test_two_specimen_class_is_rejected_for_lda_before_any_fit(self, monkeypatch):
+        configs = [LandmarkConfiguration(c.specimen_id, c.points, "C" if i in (3, 9) else c.label) for i, c in enumerate(simulated_configs())]
+        calls = []
+        monkeypatch.setattr(classify, "fit_pipeline", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^label 'C' has 2 specimens; LDA cross validation needs at least 3 per class$"):
+            cross_validate(configs, "GM", "lda")
+        assert calls == []
+
+    def test_unconverged_folds_are_counted(self, monkeypatch):
+        configs = simulated_configs()
+        assert cross_validate(configs, "GM", "multinomial").unconverged_folds == 0
+        monkeypatch.setattr(classify, "_NEWTON_MAX_ITER", 1)
+        assert cross_validate(configs, "GM", "multinomial").unconverged_folds == 5
+        assert cross_validate(configs, "GM", "lda").unconverged_folds == 0
+
     def test_one_specimen_class_is_rejected(self):
         configs = [LandmarkConfiguration(c.specimen_id, c.points, "B" if i == 4 else "A") for i, c in enumerate(simulated_configs())]
         with pytest.raises(ValueError, match="^label 'B' has 1 specimen; cross validation needs at least 2 per class$"):
@@ -332,8 +477,8 @@ class TestPredictionInvariances:
         scale = rng.uniform(0.2, 5.0, size=3)
         shift = rng.normal(size=3) * 10
         for clf in ("lda", "multinomial", "svm"):
-            base = _fit_predict(clf, x, y, test)
-            rescaled = _fit_predict(clf, x * scale + shift, y, test * scale + shift)
+            base, _ = _fit_predict(clf, x, y, test)
+            rescaled, _ = _fit_predict(clf, x * scale + shift, y, test * scale + shift)
             assert np.array_equal(base, rescaled)
 
     def test_argmax_invariant_to_constant_score_shift(self):

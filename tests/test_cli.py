@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph import pipelines
+from curvemorph import classify, pipelines
 from curvemorph.cli import (
     InputError,
     LANDMARK_HEADER,
@@ -553,6 +553,32 @@ class TestClassify:
         assert code == 4
         assert (out / "pc_pairs_GM.svg").is_file() and (out / "pc_pairs_FDM.svg").is_file()
 
+    def test_two_specimen_class_fails_only_the_lda_task_and_names_the_class(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(2, 6, 6, 6), n_points=15))
+        out = tmp_path / "o"
+        assert main(["classify", "--data", str(data), "--out", str(out), "--pipelines", "GM", "--classifiers", "lda,svm"]) == 4
+        failure = "d/GM/lda: label 'G1' has 2 specimens; LDA cross validation needs at least 3 per class"
+        assert failure in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["failures"] == [failure]
+        with open(out / "cv_summary.csv") as fh:
+            assert [(r["pipeline"], r["classifier"]) for r in csv.DictReader(fh)] == [("GM", "svm")]
+
+    def test_unconverged_fits_are_warned_in_manifest_and_report(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(5, 5, 5, 5), n_points=15))
+        args = ["classify", "--data", str(data), "--pipelines", "GM", "--classifiers", "lda,multinomial,svm"]
+        assert main(args + ["--out", str(tmp_path / "converged")]) == 0
+        assert json.loads((tmp_path / "converged" / "manifest.json").read_text())["warnings"] == []
+        monkeypatch.setattr(classify, "_NEWTON_MAX_ITER", 1)
+        out = tmp_path / "capped"
+        assert main(args + ["--out", str(out)]) == 0
+        warning = "d/GM/multinomial: 5 of 5 fold fits did not converge"
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == [warning]
+        assert warning in capsys.readouterr().err
+        assert main(["report", "--out", str(out)]) == 0
+        assert f"\nwarnings:\n  {warning}\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "args",
         [["run", "--pipelines", ","], ["classify", "--pipelines", ",", "--svg"], ["classify", "--classifiers", ","]],
@@ -629,9 +655,11 @@ class TestConfigFile:
             ("manifest.json", b"\xff", "cannot read {}: 'utf-8' codec"),
             ("manifest.json", b"[]", "{}: expected a JSON object"),
             ("manifest.json", b'{"failures": 5}', "{}: expected a JSON object whose failures are a list"),
+            ("manifest.json", b'{"warnings": "x"}', "{}: expected a JSON object whose warnings are a list"),
             ("mse.csv", b"pipeline,mean\n\xff\n", "cannot read {}: 'utf-8' codec"),
         ],
-        ids=["manifest-not-json", "manifest-not-utf8", "manifest-not-object", "failures-not-list", "table-not-utf8"],
+        ids=["manifest-not-json", "manifest-not-utf8", "manifest-not-object", "failures-not-list", "warnings-not-list",
+             "table-not-utf8"],
     )
     def test_report_of_unreadable_file_is_an_input_error(self, tmp_path, capsys, name, content, message):
         (tmp_path / "manifest.json").write_text('{"command": "run", "seed": 0}\n')

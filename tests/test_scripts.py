@@ -17,3 +17,13 @@ class TestSimulationStudyScript:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "study" / "pipelines" / "mse.csv").is_file()
         assert (tmp_path / "study" / "classification" / "cv_summary.csv").is_file()
+
+
+class TestOutputDigests:
+    def test_seeded_outputs_match_the_expected_digests(self):
+        """Seeded CSV/SVG outputs move only together with an edit of ``scripts/output_digests.expected``."""
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--check", str(ROOT / "scripts" / "output_digests.expected")],
+            cwd=ROOT, capture_output=True, text=True, timeout=900,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
