@@ -22,7 +22,7 @@ N_FOLDS = 5  # cross-validation folds, here and in the CLI's best-pair search
 _PENALTY = 1e-6  # L2 penalty on the multinomial weights (intercepts free)
 _GRADIENT_TOL = 1e-6  # multinomial fits stop at this gradient norm
 _NEWTON_MAX_ITER = 100
-_SVM_KKT_TOL = 1e-10  # largest KKT violation the SVM dual may keep
+_SVM_KKT_TOL = 1e-10  # largest KKT violation the SVM dual may keep, at unit scale
 _SVM_GAP_TOL = 1e-6  # relative duality gap that certifies an SVM fit
 _SVM_MAX_ITER = 1000  # active-set steps per binary SVM
 
@@ -208,26 +208,31 @@ def _svm_binary(x: np.ndarray, y: np.ndarray, c_reg: float) -> tuple[np.ndarray,
     duplicated or contradictory rows), the step follows that zero-curvature
     part instead.  Either step ends at its line minimum or at the first
     free row to reach 0 or C, which then stays at that bound.  Once
-    |g_F| <= tol = ``_SVM_KKT_TOL``, the bound row with the largest KKT
-    violation (g < -tol at 0, g > tol at C) is freed; when none is left,
-    the relative duality gap must be at most ``_SVM_GAP_TOL``.  The
-    tolerance is absolute, for inputs of unit scale such as the
-    standardized scores that ``_fit_predict`` passes.  Returns the
-    weights, the duals, the number of steps, and whether both tests passed
-    within ``_SVM_MAX_ITER`` steps.
+    |g_F| <= tol, the bound row with the largest KKT violation (g < -tol
+    at 0, g > tol at C) is freed; when none is left, the relative duality
+    gap must be at most ``_SVM_GAP_TOL``.  The tolerance is
+    ``_SVM_KKT_TOL``, floored at the round-off bound of g,
+    eps * max(|Z| (a^T |Z|)), so that inputs far from unit scale (where
+    w = Z^T a cancels large terms) can still meet it; for the standardized
+    scores that ``_fit_predict`` passes, the floor stays below 1e-10.
+    Returns the weights, the duals, the number of steps, and whether both
+    tests passed within ``_SVM_MAX_ITER`` steps.
     """
     z = y[:, None] * np.hstack([x, np.ones((x.shape[0], 1))])
+    abs_z = np.abs(z)
     alpha = np.zeros(z.shape[0])
     free = np.zeros(z.shape[0], dtype=bool)
-    rank_tol = max(z.shape) * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    rank_tol = max(z.shape) * eps
     optimal = False
     n_iter = 0
     while True:
         g = z @ (alpha @ z) - 1.0
-        if not np.any(np.abs(g[free]) > _SVM_KKT_TOL):
+        tol = max(_SVM_KKT_TOL, eps * float(np.max(abs_z @ (alpha @ abs_z))))
+        if not np.any(np.abs(g[free]) > tol):
             violation = np.where(free, 0.0, np.where(alpha == 0.0, -g, g))
             j = int(np.argmax(violation))
-            if violation[j] <= _SVM_KKT_TOL:
+            if violation[j] <= tol:
                 optimal = True
                 break
             free[j] = True
@@ -240,7 +245,7 @@ def _svm_binary(x: np.ndarray, y: np.ndarray, c_reg: float) -> tuple[np.ndarray,
         u, s = u[:, keep], s[keep]
         ug = u.T @ g[f]
         d = u @ ug - g[f]  # the part of -g_F outside the range of Z_F Z_F^T
-        if np.max(np.abs(d)) <= _SVM_KKT_TOL:
+        if np.max(np.abs(d)) <= tol:
             d = -(u @ (ug / s**2))
         dw = d @ z[f]
         curvature = float(dw @ dw)
@@ -267,8 +272,9 @@ def svm_linear_fit(scores: np.ndarray, labels: np.ndarray) -> SvmModel:
     """One-vs-one soft-margin linear SVMs (C = 1) in a fixed pair order, each solved by the active-set method.
 
     A pair's fit is converged when its KKT violations are at most 1e-10
-    and its relative duality gap at most 1e-6 within 1000 steps; the model
-    keeps each pair's step count and flag.
+    (or their round-off bound, if larger) and its relative duality gap at
+    most 1e-6 within 1000 steps; the model keeps each pair's step count
+    and flag.
     """
     x = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -352,6 +358,8 @@ def cross_validate(
     settings=None,
 ) -> CvReport:
     """Stratified ``N_FOLDS``-fold CV with the full pipeline refit on every training fold."""
+    if classifier not in CLASSIFIER_NAMES:
+        raise ValueError(f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIER_NAMES)}")
     labels = np.array([c.label for c in configs])
     if any(lbl is None for lbl in labels):
         raise ValueError("all specimens need labels for cross validation")

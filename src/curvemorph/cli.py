@@ -384,6 +384,11 @@ def cmd_run(args) -> int:
         return run_pipeline(pid, data_by_rep[rep_name], settings)
 
     results, failures = _run_tasks(tasks, worker)
+    warnings = [
+        f"{'/'.join(key)}: Karcher mean stopped at {output.fitted.karcher_iterations} iterations without converging"
+        for key, output in results.items()
+        if not isinstance(output, Exception) and output.fitted.karcher_converged is False
+    ]
 
     outputs = []
     k95_rows, mse_rows = [], []
@@ -429,7 +434,7 @@ def cmd_run(args) -> int:
         write_csv(out / "mse.csv", ["pipeline", "mean", "sd"], mse_rows)
         outputs += ["k95.csv", "mse.csv"]
 
-    return _finish(out, "run", values, outputs, failures, [], bool(k95_rows), "all pipelines failed",
+    return _finish(out, "run", values, outputs, failures, warnings, bool(k95_rows), "all pipelines failed",
                    f"wrote results for {len(pipelines)} pipeline(s) to {out}")
 
 

@@ -255,6 +255,8 @@ class FittedPipeline:
     consensus: np.ndarray | None = None  # GPA consensus (GM and elastic chains)
     template: SrvfCurve | None = None  # Karcher template (elastic chains)
     sizes: np.ndarray | None = None  # raw centroid sizes (elastic chains)
+    karcher_iterations: int | None = None  # Karcher mean iterations run (elastic chains)
+    karcher_converged: bool | None = None  # whether the Karcher mean met its stopping rule (elastic chains)
 
     @property
     def scores(self) -> np.ndarray:
@@ -367,6 +369,8 @@ def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfigura
         consensus=result.consensus,
         template=registration.template,
         sizes=result.centroid_sizes,
+        karcher_iterations=registration.iterations,
+        karcher_converged=registration.converged,
     )
 
 

@@ -32,6 +32,10 @@ _DP_DI = np.array([di for di, _ in _DP_STEPS])
 _DP_DJ = np.array([dj for _, dj in _DP_STEPS])
 _DP_DEPTH = int(_DP_DI.max())
 
+# The Karcher iteration has converged once its aligned variance falls by no
+# more than this share of its current value in one iteration.
+_KARCHER_REL_TOL = 1e-3
+
 
 @dataclass
 class SrvfCurve:
@@ -351,9 +355,15 @@ def karcher_mean(
     Each iteration runs one ``align_step`` of every original SRVF against
     the current template, starting from its warp of the previous iteration
     (the identity at first), and replaces the template with the pointwise
-    mean of the aligned set.  Iteration stops once the template moves less
-    than 1e-6 in L2, after ``max_iter`` iterations, or as soon as the total
-    aligned variance would increase.
+    mean of the aligned set.  V_i, the total aligned variance of iteration
+    i, goes into ``variance_history``.  The iteration has converged at the
+    first i >= 2 where V_(i-1) - V_i <= 1e-3 * V_i (``_KARCHER_REL_TOL``):
+    the variance has stopped falling by more than a thousandth of itself.
+    If instead V_i rises above V_(i-1), the previous, better iterate is
+    kept, and that counts as converged too.  The rule reads only ratios of
+    variances, so scaling every curve by a common factor changes no
+    decision.  ``converged`` is False only when ``max_iter`` iterations
+    ran without meeting the rule.
 
     The template is only defined up to a common reparameterisation; the
     result fixes that gauge by composing everything with the inverse of the
@@ -379,16 +389,15 @@ def karcher_mean(
             _, aligned[k], warps[k], rotations[k] = align_step(q, template, current_warps[k], lam, alpha)
         mean_q = np.mean(aligned, axis=0)
         variance = sum(_l2_norm_sq(t, a - mean_q) for a in aligned)
-        if variance_history and variance > variance_history[-1] + 1e-12:
+        if variance_history and variance > variance_history[-1] * (1.0 + 1e-12):
             iterations -= 1  # keep the previous, better iterate
+            converged = True
             break
         variance_history.append(variance)
         current_warps = warps
-        new_template = SrvfCurve(t.copy(), mean_q)
-        change = np.sqrt(_l2_norm_sq(t, new_template.q - template.q))
-        template = new_template
+        template = SrvfCurve(t.copy(), mean_q)
         state = (aligned, warps, rotations)
-        if change < 1e-6:
+        if iterations >= 2 and variance_history[-2] - variance <= _KARCHER_REL_TOL * variance:
             converged = True
             break
     aligned, warps, rotations = state

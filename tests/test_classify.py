@@ -364,6 +364,19 @@ class TestSvmActiveSetKkt:
         assert np.all(g[at_c] <= 1e-9)
         assert np.all(np.abs(g[~at_zero & ~at_c]) <= 1e-9)
 
+    @pytest.mark.parametrize("d", [1, 6, 30])
+    @pytest.mark.parametrize("n", [2, 7, 40, 130])
+    def test_inputs_far_from_unit_scale_converge(self, n, d):
+        # With x ~ 1e3, w = Z^T alpha cancels terms of size 1e5, so the
+        # gradient's round-off exceeds the 1e-10 tolerance of unit scale.
+        for seed in (0, 1):
+            for kind in ("none", "contradiction"):
+                x, y = with_extra_row(*binary_svm_data(seed, n, d, False), kind)
+                for c_reg in (1.0, 0.05):
+                    w, alpha, n_iter, converged = classify._svm_binary(1e3 * x, y, c_reg)
+                    assert converged, (seed, kind, c_reg, n_iter)
+                    assert np.all((alpha >= 0.0) & (alpha <= c_reg))
+
     def test_iteration_cap_is_reported(self, monkeypatch):
         x, y = binary_svm_data(0, 40, 6, False)
         monkeypatch.setattr(classify, "_SVM_MAX_ITER", 3)
@@ -436,10 +449,13 @@ class TestCrossValidate:
         held_out = [configs[i] for i in test_idx]
         assert np.array_equal(fitted.transform(held_out), fitted_again.transform(held_out))
 
-    def test_unknown_classifier(self):
-        configs = simulated_configs()
-        with pytest.raises(ValueError, match="classifier"):
-            cross_validate(configs, "GM", "forest")
+    def test_unknown_classifier(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fit_pipeline called")
+
+        monkeypatch.setattr(classify, "fit_pipeline", no_fit)
+        with pytest.raises(ValueError, match="^unknown classifier 'forest'; valid: lda, multinomial, svm$"):
+            cross_validate(simulated_configs(), "GM", "forest")
 
     def test_one_class_is_rejected(self):
         configs = [LandmarkConfiguration(c.specimen_id, c.points, "A") for c in simulated_configs()]

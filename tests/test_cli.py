@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph import classify, pipelines
+from curvemorph import classify, pipelines, srvf
 from curvemorph.cli import (
     InputError,
     LANDMARK_HEADER,
@@ -214,6 +215,22 @@ class TestRun:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert "mse.csv" in manifest["outputs"]
         assert manifest["failures"] == []
+
+    def test_unconverged_karcher_means_are_warned_in_manifest_and_report(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(3, 3, 3, 3), n_points=15))
+        args = ["run", "--data", str(data), "--pipelines", "GM,ElasticSrvFdm,SoftSrvFdm", "--n-points", "15"]
+        assert main(args + ["--out", str(tmp_path / "converged")]) == 0
+        assert json.loads((tmp_path / "converged" / "manifest.json").read_text())["warnings"] == []
+        capsys.readouterr()
+        monkeypatch.setattr(pipelines, "karcher_mean", functools.partial(srvf.karcher_mean, max_iter=2))
+        out = tmp_path / "capped"
+        assert main(args + ["--out", str(out)]) == 0
+        warnings = [f"d/{pid}: Karcher mean stopped at 2 iterations without converging" for pid in ("ElasticSrvFdm", "SoftSrvFdm")]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == warnings
+        assert "warnings:\n  " + "\n  ".join(warnings) in capsys.readouterr().err
+        assert main(["report", "--out", str(out)]) == 0
+        assert "\nwarnings:\n  " + "\n  ".join(warnings) + "\n" in capsys.readouterr().out
 
 
 class TestPreprocessCache:

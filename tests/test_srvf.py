@@ -47,6 +47,19 @@ def smooth_random_q(m, seed, n_modes=4):
     return SrvfCurve(t, q)
 
 
+def phase_varied_curves(seed: int, k: int = 6, m: int = 30) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and (k, m, 3) helices sampled at t^u with u ~ U(0.7, 1.4), each bent by one smooth bump."""
+    rng = np.random.default_rng(seed)
+    t = uniform_params(m)
+    curves = []
+    for i in range(k):
+        u = rng.uniform(0.7, 1.4)
+        tau = 2 * np.pi * t**u
+        bump = 0.1 * np.sin(np.pi * (i + 1) * t)[:, None] * rng.normal(size=3)
+        curves.append(np.stack([np.sin(tau), np.cos(tau), t**u], axis=1) + bump)
+    return t, np.stack(curves)
+
+
 def power_warp(m, u):
     t = uniform_params(m)
     return WarpingFunction(t, t**u)
@@ -441,11 +454,50 @@ class TestKarcherMean:
         result = karcher_mean(qs, max_iter=3)
         assert len(result.aligned) == len(result.warps) == len(result.rotations) == 3
 
+    def test_stopping_rule_is_scale_free(self):
+        # Scaling a curve by 4^k scales its SRVF by 2^k and every variance by
+        # 4^k, all exactly, so a rule on variance ratios decides alike at every
+        # scale.  A template-move test of 1e-6 stopped the 4^-5 set at 15
+        # iterations, the 4^0 set at 16 and the 4^5 set at 17.
+        t, curves = phase_varied_curves(seed=5)
+        results = [karcher_mean([SrvfCurve(t, q) for q in to_srvf(curves * 4.0**k, t)]) for k in (-5, 0, 5)]
+        base = results[1]
+        assert base.converged and 2 < base.iterations < 20
+        for result in results:
+            assert (result.iterations, result.converged) == (base.iterations, base.converged)
+            for got, expected in zip(result.warps, base.warps):
+                assert np.max(np.abs(got.gamma - expected.gamma)) <= 1e-12
+
+    def test_stopping_rule(self):
+        t, curves = phase_varied_curves(seed=5)
+        result = karcher_mean([SrvfCurve(t, q) for q in to_srvf(curves, t)])
+        v = result.variance_history
+        assert len(v) == result.iterations
+        assert v[-2] - v[-1] <= 1e-3 * v[-1]
+        assert all(v[i - 1] - v[i] > 1e-3 * v[i] for i in range(1, len(v) - 1))
+
+    def test_variance_rise_keeps_the_previous_iterate_as_converged(self):
+        qs = [smooth_random_q(61, seed=120 + i) for i in range(2)]
+        result = karcher_mean(qs, lam=0.01, alpha=0.6)
+        v = result.variance_history
+        assert result.converged and result.iterations == len(v) == 2
+        assert v[0] - v[1] > 1e-3 * v[1]  # the variance rose at iteration 3; the rule did not stop it
+        capped = karcher_mean(qs, max_iter=2, lam=0.01, alpha=0.6)
+        assert not capped.converged
+        assert np.array_equal(result.template.q, capped.template.q)
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_iteration_cap_is_not_converged(self, max_iter):
+        t, curves = phase_varied_curves(seed=5)
+        result = karcher_mean([SrvfCurve(t, q) for q in to_srvf(curves, t)], max_iter=max_iter)
+        assert (result.iterations, result.converged) == (max_iter, False)
+        assert len(result.variance_history) == max_iter
+
 
 def _karcher_mean_loop(
     qs: list[SrvfCurve],
     max_iter: int = 20,
-    tol: float = 1e-6,
+    tol: float = 1e-3,
     lam: float = 0.0,
     alpha: float = 1.0,
     rotate: bool = True,
@@ -486,16 +538,16 @@ def _karcher_mean_loop(
         aligned, warps, rotations = align_all(template, current_warps)
         mean_q = np.mean([a.q for a in aligned], axis=0)
         variance = sum(_l2_norm_sq(t, a.q - mean_q) for a in aligned)
-        if variance_history and variance > variance_history[-1] + 1e-12:
+        if variance_history and variance > variance_history[-1] * (1.0 + 1e-12):
             iterations -= 1  # keep the previous, better iterate
+            converged = True
             break
         variance_history.append(variance)
         current_warps = warps
-        new_template = SrvfCurve(t.copy(), mean_q)
-        change = np.sqrt(_l2_norm_sq(t, new_template.q - template.q))
-        template = new_template
+        template = SrvfCurve(t.copy(), mean_q)
         state = (aligned, warps, rotations)
-        if change < tol:
+        # Stop once the variance falls by no more than tol of itself.
+        if len(variance_history) >= 2 and variance_history[-2] - variance <= tol * variance:
             converged = True
             break
 
