@@ -12,7 +12,7 @@ validation, plus a seeded helix simulation harness, round out the toolkit.
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation, superimpose
 from curvemorph.curvetools import derivative, reparameterise_arclength, resample_uniform
 from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, soft_warp, to_srvf
-from curvemorph.fpca import MfpcaModel, UnivariateFpcaModel, mfpca, mfpca_project, select_components, ufpca
+from curvemorph.fpca import MfpcaModel, UnivariateFpcaModel, mfpca, mfpca_fit, mfpca_project, select_components, ufpca
 from curvemorph.pca import PcaModel, pca_fit, pca_reconstruct
 from curvemorph.pipelines import PIPELINE_IDS, PipelineOutput, PipelineSettings, evaluate_mse, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate, group_curve
@@ -41,6 +41,7 @@ __all__ = [
     "MfpcaModel",
     "ufpca",
     "mfpca",
+    "mfpca_fit",
     "mfpca_project",
     "select_components",
     "PcaModel",

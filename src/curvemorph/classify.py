@@ -214,7 +214,7 @@ def _svm_binary(x: np.ndarray, y: np.ndarray, c_reg: float) -> tuple[np.ndarray,
     ``_SVM_KKT_TOL``, floored at the round-off bound of g,
     eps * max(|Z| (a^T |Z|)), so that inputs far from unit scale (where
     w = Z^T a cancels large terms) can still meet it; for the standardized
-    scores that ``_fit_predict`` passes, the floor stays below 1e-10.
+    scores that ``fit_predict`` passes, the floor stays below 1e-10.
     Returns the weights, the duals, the number of steps, and whether both
     tests passed within ``_SVM_MAX_ITER`` steps.
     """
@@ -315,6 +315,7 @@ class CvReport:
     sd_accuracy: float
     confusion: np.ndarray
     unconverged_folds: int  # folds whose classifier fit stopped short of its optimum
+    unconverged_karcher_folds: int  # folds whose pipeline fit's Karcher mean stopped at max_iter
 
 
 def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -334,8 +335,13 @@ def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:
     return folds
 
 
-def _fit_predict(classifier: str, train_x, train_y, test_x) -> tuple[np.ndarray, bool]:
-    """Predicted labels of the test rows, and whether the classifier's fit converged."""
+def fit_predict(classifier: str, train_x, train_y, test_x) -> tuple[np.ndarray, bool]:
+    """Predicted labels of the test rows, and whether the classifier's fit converged.
+
+    ``classifier`` is one of ``CLASSIFIER_NAMES``.  It is fitted on the
+    training rows standardized by their column means and sds, and predicts
+    the test rows standardized alike.
+    """
     std = standardize_fit(train_x)
     train_x = standardize_apply(std, train_x)
     test_x = standardize_apply(std, test_x)
@@ -378,7 +384,7 @@ def cross_validate(
             raise ValueError(f"label {label!r} has {count} specimens; LDA cross validation needs at least 3 per class")
 
     per_fold = np.zeros(N_FOLDS)
-    unconverged = 0
+    unconverged = unconverged_karcher = 0
     confusion = np.zeros((classes.size, classes.size), dtype=int)
     for f in range(N_FOLDS):
         train_idx = np.flatnonzero(folds != f)
@@ -386,8 +392,9 @@ def cross_validate(
         fitted = fit_pipeline(pipeline_id, [configs[i] for i in train_idx], settings)
         train_scores = fitted.scores
         test_scores = fitted.transform([configs[i] for i in test_idx])
-        predicted, converged = _fit_predict(classifier, train_scores, labels[train_idx], test_scores)
+        predicted, converged = fit_predict(classifier, train_scores, labels[train_idx], test_scores)
         unconverged += not converged
+        unconverged_karcher += fitted.karcher_converged is False
         actual = labels[test_idx]
         per_fold[f] = float(np.mean(predicted == actual))
         for a, p in zip(actual, predicted):
@@ -402,4 +409,5 @@ def cross_validate(
         sd_accuracy=float(per_fold.std(ddof=1)),
         confusion=confusion,
         unconverged_folds=unconverged,
+        unconverged_karcher_folds=unconverged_karcher,
     )

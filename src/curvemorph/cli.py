@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from curvemorph import __version__
-from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, _fit_predict, cross_validate, stratified_kfold
+from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, cross_validate, fit_predict, stratified_kfold
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, canonical_pipeline_id, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
@@ -450,7 +450,7 @@ def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tu
             if np.unique(labels[tr]).size < 2:
                 continue
             try:
-                pred, _ = _fit_predict("lda", pair[tr], labels[tr], pair[te])
+                pred, _ = fit_predict("lda", pair[tr], labels[tr], pair[te])
                 accs.append(float(np.mean(pred == labels[te])))
             except ValueError:
                 continue
@@ -515,12 +515,16 @@ def cmd_classify(args) -> int:
 
     results, failures = _run_tasks(tasks, worker)
 
-    rows, summary = [], []
-    warnings = [
-        f"{'/'.join(key)}: {report.unconverged_folds} of {N_FOLDS} fold fits did not converge"
-        for key, report in results.items()
-        if not isinstance(report, Exception) and report.unconverged_folds
-    ]
+    rows, summary, warnings = [], [], []
+    for key, report in results.items():
+        if isinstance(report, Exception):
+            continue
+        name = "/".join(key)
+        if report.unconverged_folds:
+            warnings.append(f"{name}: {report.unconverged_folds} of {N_FOLDS} fold fits did not converge")
+        if report.unconverged_karcher_folds:
+            count = report.unconverged_karcher_folds
+            warnings.append(f"{name}: Karcher mean stopped at max_iter without converging in {count} of {N_FOLDS} fold fits")
     for pid in pipelines:
         for clf in classifiers:
             accs = []
@@ -549,6 +553,9 @@ def cmd_classify(args) -> int:
                 output = run_pipeline(pid, configs, settings)
             except ValueError:
                 continue
+            if output.fitted.karcher_converged is False:
+                iterations = output.fitted.karcher_iterations
+                warnings.append(f"{rep_name}/{pid}/svg: Karcher mean stopped at {iterations} iterations without converging")
             if output.scores.shape[1] < 2:
                 continue
             j, acc = _best_adjacent_pair(output.scores, labels, seed)

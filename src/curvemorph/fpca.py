@@ -23,7 +23,7 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
@@ -104,7 +104,7 @@ def ufpca(
         keep = select_components(evals, pve)
         order = order[:keep]
         evals = evals[:keep]
-    phi = _fix_signs(evecs[:, order] / sw[:, None]).T  # (J_p, M)
+    phi = fix_signs(evecs[:, order] / sw[:, None]).T  # (J_p, M)
 
     scores = centered @ (w[None, :] * phi).T  # (n, J_p)
     return UnivariateFpcaModel(grid=grid, mean_fn=mean_fn, eigenfunctions=phi, eigenvalues=evals, scores=scores)
@@ -129,14 +129,11 @@ def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaM
     evals, evecs = np.linalg.eigh(z_hat)
     order = np.argsort(evals)[::-1][:j_out]
     evals = np.clip(evals[order], 0.0, None)
-    vecs = _fix_signs(evecs[:, order])  # (J, J_out)
+    vecs = fix_signs(evecs[:, order])  # (J, J_out)
 
-    eigenfunctions = []
-    start = 0
-    for u, jb in zip(models, j_blocks):
-        block = vecs[start : start + jb]  # (J_p, J_out)
-        eigenfunctions.append(block.T @ u.eigenfunctions)  # (J_out, M)
-        start += jb
+    # each coordinate's (J_p, J_out) block of vecs combines its eigenfunctions into (J_out, M)
+    blocks = np.split(vecs, np.cumsum(j_blocks)[:-1])
+    eigenfunctions = [block.T @ u.eigenfunctions for u, block in zip(models, blocks)]
     scores = xi @ vecs
     return MfpcaModel(
         univariate=list(models),
@@ -147,22 +144,36 @@ def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaM
     )
 
 
-def mfpca_project(model: MfpcaModel, new_samples: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Scores of held-out curves against a fitted model.
+def mfpca_fit(
+    values: np.ndarray, grid: np.ndarray, m_target: int, noise_covs: np.ndarray | None = None, pve: float | None = None
+) -> MfpcaModel:
+    """MFPCA of an (n, M, 3) stack: ``ufpca`` of each coordinate (its (M, M) ``noise_covs`` row, ``pve``), then ``mfpca``.
 
-    ``new_samples`` holds one (n, M) array per coordinate; curves are
-    centered by the training means and projected through the training
-    eigenfunctions.
+    Each coordinate keeps at most min(n - 1, M, m_target) components, and the whole model at most ``m_target``.
     """
-    if len(new_samples) != 3:
-        raise ValueError("expected one sample block per coordinate")
+    n, m, _ = values.shape
+    j_p = min(n - 1, m, m_target)
+    models = [
+        ufpca(values[:, :, p], grid, j_p, noise_cov=None if noise_covs is None else noise_covs[p], pve=pve)
+        for p in range(3)
+    ]
+    j_total = sum(u.eigenvalues.shape[0] for u in models)
+    return mfpca(models, j_out=min(m_target, j_total))
+
+
+def mfpca_project(model: MfpcaModel, new_samples: np.ndarray) -> np.ndarray:
+    """Scores of an (n, M, 3) stack of held-out curves against a fitted model.
+
+    Each coordinate is centered by its training mean and projected through
+    its training eigenfunctions.
+    """
+    new_samples = np.asarray(new_samples, dtype=float)
+    if new_samples.shape[1:] != model.mean_functions.shape:
+        raise ValueError("grid mismatch with the fitted model")
     xi_blocks = []
-    for u, block in zip(model.univariate, new_samples):
-        block = np.asarray(block, dtype=float)
-        if block.shape[1] != u.grid.shape[0]:
-            raise ValueError("grid mismatch with the fitted model")
+    for p, u in enumerate(model.univariate):
         w = trapezoid_weights(u.grid)
-        xi_blocks.append((block - u.mean_fn) @ (w[None, :] * u.eigenfunctions).T)
+        xi_blocks.append((new_samples[:, :, p] - u.mean_fn) @ (w[None, :] * u.eigenfunctions).T)
     xi = np.concatenate(xi_blocks, axis=1)
     return xi @ model.eigvecs
 
@@ -179,7 +190,7 @@ def mfpca_reconstruct(model: MfpcaModel, scores: np.ndarray, k: int) -> np.ndarr
 
 
 def select_components(eigenvalues: np.ndarray, threshold: float = 0.95) -> int:
-    """Smallest k whose leading eigenvalues reach the cumulative-variance threshold."""
+    """Smallest k whose leading eigenvalues reach the cumulative-variance threshold; at most their count."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size == 0 or np.any(eigenvalues < -1e-12):
         raise ValueError("eigenvalues must be nonnegative")
@@ -187,4 +198,5 @@ def select_components(eigenvalues: np.ndarray, threshold: float = 0.95) -> int:
     if total <= 0.0:
         raise ValueError("no variance")
     fractions = np.cumsum(eigenvalues) / total
-    return int(np.searchsorted(fractions, threshold, side="left") + 1)
+    # the last fraction can round below 1, and a threshold of 1 would then land past the end
+    return int(min(np.searchsorted(fractions, threshold, side="left") + 1, eigenvalues.size))

@@ -1,7 +1,8 @@
-"""Classical PCA on flattened landmark configurations.
+"""Classical PCA on (n, N, 3) stacks of landmark configurations.
 
-Flattening is landmark-major, coordinate-minor (x1, y1, z1, x2, ...), fixed
-so loadings are comparable across runs.
+Each configuration is read as one row of 3N values, landmark-major and
+coordinate-minor (x1, y1, z1, x2, ...), fixed so loadings are comparable
+across runs.
 """
 
 from __future__ import annotations
@@ -10,18 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def flatten_configurations(points: np.ndarray) -> np.ndarray:
-    """Stack an (n, N, 3) array into (n, 3N) rows, landmark-major."""
-    points = np.asarray(points, dtype=float)
-    return points.reshape(points.shape[0], -1)
-
-
-def _fix_signs_rows(rows: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(rows), axis=1)
-    signs = np.sign(rows[np.arange(rows.shape[0]), idx])
-    signs[signs == 0] = 1.0
-    return rows * signs[:, None]
+from curvemorph.fpca import fix_signs
 
 
 @dataclass
@@ -36,24 +26,27 @@ class PcaModel:
         return self.loadings.shape[0]
 
 
-def pca_fit(flattened: np.ndarray) -> PcaModel:
-    """Eigen-decomposition of the column-centered sample covariance (SVD route)."""
-    x = np.asarray(flattened, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need an n x d matrix with n >= 2")
+def pca_fit(points: np.ndarray) -> PcaModel:
+    """Eigen-decomposition of the centered sample covariance of an (n, N, 3) stack (SVD route)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[2] != 3 or points.shape[0] < 2:
+        raise ValueError("need an (n, N, 3) stack with n >= 2")
+    x = points.reshape(points.shape[0], -1)
     n = x.shape[0]
     mean = x.mean(axis=0)
     centered = x - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     k_max = min(n - 1, x.shape[1])
     eigenvalues = svals[:k_max] ** 2 / (n - 1)
-    loadings = _fix_signs_rows(vt[:k_max])
+    loadings = fix_signs(vt[:k_max].T).T
     scores = centered @ loadings.T
     return PcaModel(mean_vector=mean, loadings=loadings, eigenvalues=eigenvalues, scores=scores)
 
 
-def pca_project(model: PcaModel, flattened: np.ndarray) -> np.ndarray:
-    return (np.asarray(flattened, dtype=float) - model.mean_vector) @ model.loadings.T
+def pca_project(model: PcaModel, points: np.ndarray) -> np.ndarray:
+    """Scores of an (n, N, 3) stack of held-out configurations."""
+    points = np.asarray(points, dtype=float)
+    return (points.reshape(points.shape[0], -1) - model.mean_vector) @ model.loadings.T
 
 
 def pca_reconstruct(model: PcaModel, scores: np.ndarray, k: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 ``CHAINS`` gives each pipeline id its stage choices, and every chain fits
 into the same ``FittedPipeline``.  Chains share three backbones.  GM-style
-pipelines run Procrustes alignment and classical PCA on flattened
+pipelines run Procrustes alignment and classical PCA of the landmark
 coordinates.  FDM-style pipelines smooth each coordinate function with a
 cubic B-spline basis and decompose with multivariate FPCA.  Elastic pipelines first register curves to a Karcher
 template in square-root velocity space (fully, or softened by an
@@ -26,9 +26,9 @@ import numpy as np
 
 from curvemorph.basis import design_matrix, fit_coefficients
 from curvemorph.curvetools import DegenerateCurveError, reparameterise_arclength, resample_uniform, uniform_params
-from curvemorph.fpca import MfpcaModel, mfpca, mfpca_project, mfpca_reconstruct, select_components, ufpca
+from curvemorph.fpca import MfpcaModel, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components
 from curvemorph.landmarks import LandmarkConfiguration, ZeroCentroidSizeError, align_to_reference, center, gpa, superimpose
-from curvemorph.pca import PcaModel, flatten_configurations, pca_fit, pca_project, pca_reconstruct
+from curvemorph.pca import PcaModel, pca_fit, pca_project, pca_reconstruct
 from curvemorph.srvf import SrvfCurve, align_step, from_srvf, karcher_mean, to_srvf
 
 
@@ -174,60 +174,38 @@ def _registration_basis_size(settings: PipelineSettings, m_in: int) -> int:
     return max(settings.n_basis, min(2 * settings.n_basis, m_in - 1))
 
 
-def _fit_coordinate_mfpca(
-    values: np.ndarray,
-    grid: np.ndarray,
-    m_target: int,
-    noise_covs: list[np.ndarray] | None = None,
-    pve: float | None = None,
-) -> MfpcaModel:
-    """MFPCA of an (n, M, 3) stack: univariate fit per coordinate, then combined."""
-    n, m, _ = values.shape
-    j_p = min(n - 1, m, m_target)
-    models = [
-        ufpca(values[:, :, p], grid, j_p, noise_cov=None if noise_covs is None else noise_covs[p], pve=pve)
-        for p in range(3)
-    ]
-    j_total = sum(u.eigenvalues.shape[0] for u in models)
-    return mfpca(models, j_out=min(m_target, j_total))
+def _smooth_stack(points_stack: np.ndarray, n_basis: int, grid: np.ndarray) -> np.ndarray:
+    """Least-squares B-spline fit of every curve of a (K, M_in, 3) stack, evaluated on the grid: (K, M, 3)."""
+    smoothing, _ = _smoothing_maps(n_basis, points_stack.shape[1], grid.tobytes())
+    return smoothing @ points_stack
 
 
-def _smooth_stack(
-    points_stack: np.ndarray, settings: PipelineSettings, grid: np.ndarray, n_basis: int | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Least-squares smooth every curve of a (K, M_in, 3) stack onto the grid.
+def _smoothing_noise_covs(points_stack: np.ndarray, n_basis: int, grid: np.ndarray) -> np.ndarray:
+    """(3, M, M): per coordinate, the covariance sigma^2 S S^T that ``_smooth_stack`` propagates from i.i.d. noise.
 
-    Also returns, per coordinate, the covariance the fit propagates from
-    i.i.d. measurement noise (sigma^2 estimated from the pooled smoothing
-    residuals; zero when the fit is saturated), used to keep noise out of
-    downstream eigen-spectra.
+    sigma^2 comes from the pooled residuals at the input parameters (zero when the fit is saturated).
     """
-    k = n_basis if n_basis is not None else settings.n_basis
-    m_in = points_stack.shape[1]
-    design_in, design_out = _smoothing_designs(k, m_in, grid.tobytes())
-    smoothed, rss = [], np.zeros(3)
-    for pts in points_stack:
-        coef = fit_coefficients(design_in, pts)
-        smoothed.append(design_out @ coef)
-        rss += np.sum((pts - design_in @ coef) ** 2, axis=0)
-    dof = points_stack.shape[0] * (m_in - k)
-    sigma2 = rss / dof if dof > 0 else np.zeros(3)
-    propagate = design_out @ np.linalg.solve(design_in.T @ design_in, design_out.T)
-    noise_covs = [s2 * propagate for s2 in sigma2]
-    return np.stack(smoothed), noise_covs
+    n, m_in, _ = points_stack.shape
+    smoothing, hat = _smoothing_maps(n_basis, m_in, grid.tobytes())
+    dof = n * (m_in - n_basis)
+    sigma2 = np.sum((points_stack - hat @ points_stack) ** 2, axis=(0, 1)) / dof if dof > 0 else np.zeros(3)
+    return sigma2[:, None, None] * (smoothing @ smoothing.T)
 
 
 @functools.lru_cache(maxsize=16)
-def _smoothing_designs(n_basis: int, m_in: int, grid_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """B-spline design matrices at ``uniform_params(m_in)`` and at the grid, read-only.
+def _smoothing_maps(n_basis: int, m_in: int, grid_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(S, H), read-only: the least-squares fit of samples at ``uniform_params(m_in)`` as linear maps.
 
-    Every curve of a stack sits on the same input parameters and is
-    evaluated on the same grid, so one pair serves the whole stack.
+    With X the design at the inputs and X+ its least-squares inverse,
+    S = D X+ evaluates the fit on the grid's design D and H = X X+ at the
+    inputs.  One pair serves every curve of a stack.
     """
-    designs = design_matrix(n_basis, uniform_params(m_in)), design_matrix(n_basis, np.frombuffer(grid_bytes))
-    for design in designs:
-        design.flags.writeable = False
-    return designs
+    design_in = design_matrix(n_basis, uniform_params(m_in))
+    pinv = fit_coefficients(design_in, np.eye(m_in))
+    maps = design_matrix(n_basis, np.frombuffer(grid_bytes)) @ pinv, design_in @ pinv
+    for linear_map in maps:
+        linear_map.flags.writeable = False
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +244,7 @@ class FittedPipeline:
         """Register a (K, N, 3) stack of smoothed unit-size configurations to the trained template."""
         lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
         k_reg = _registration_basis_size(self.settings, pts.shape[1])
-        smoothed, _ = _smooth_stack(pts, self.settings, self.grid, n_basis=k_reg)
+        smoothed = _smooth_stack(pts, k_reg, self.grid)
         aligned = []
         for q in to_srvf(smoothed, self.grid):
             # Two rotation/warp alternations: the second rotation sees the
@@ -282,12 +260,10 @@ class FittedPipeline:
         if self.consensus is not None:
             pts = _naming_specimens(align_to_reference, configs, pts, self.consensus)
         if self.chain.backbone == "gm":
-            return pca_project(self.model, flatten_configurations(pts))[:, : self.k95]
+            return pca_project(self.model, pts)[:, : self.k95]
         if self.chain.backbone == "elastic":
             pts = self._align_amplitude(pts)
-        smoothed, _ = _smooth_stack(pts, self.settings, self.grid)
-        blocks = [smoothed[:, :, p] for p in range(3)]
-        return mfpca_project(self.model, blocks)[:, : self.k95]
+        return mfpca_project(self.model, _smooth_stack(pts, self.settings.n_basis, self.grid))[:, : self.k95]
 
     def reconstruct(self, k: int | None = None) -> np.ndarray:
         """(n, N, 3) rank-k reconstructions of the training specimens, each superimposed on its target."""
@@ -315,10 +291,9 @@ def _naming_specimens(procrustes, configs: list[LandmarkConfiguration], points: 
 def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
     targets = _preprocess(configs, settings, chain.arc)
     result = _naming_specimens(gpa, configs, targets)
-    flat = flatten_configurations(result.aligned)
-    model = pca_fit(flat)
+    model = pca_fit(result.aligned)
     retained = model.eigenvalues[: min(settings.m_target, model.k_max)]
-    k95 = _select_k95(pipeline_id, retained, flat, settings.variance_threshold)
+    k95 = _select_k95(pipeline_id, retained, result.aligned, settings.variance_threshold)
     grid = uniform_params(settings.n_points)
     return FittedPipeline(
         pipeline_id, chain, settings, grid, model, retained, k95, model, k95, targets, consensus=result.consensus
@@ -328,11 +303,12 @@ def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration]
 def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
     grid = uniform_params(settings.n_points)
     pts = _preprocess(configs, settings, chain.arc)
-    smoothed, noise_covs = _smooth_stack(pts, settings, grid)
+    smoothed = _smooth_stack(pts, settings.n_basis, grid)
+    noise_covs = _smoothing_noise_covs(pts, settings.n_basis, grid)
     # The univariate step both corrects the spectrum for smoothing-propagated
     # measurement noise and downgrades the retained components by the same
     # cumulative-variance rule used everywhere else.
-    model = _fit_coordinate_mfpca(smoothed, grid, settings.m_target, noise_covs, settings.variance_threshold)
+    model = mfpca_fit(smoothed, grid, settings.m_target, noise_covs, settings.variance_threshold)
     k95 = _select_k95(pipeline_id, model.eigenvalues, smoothed, settings.variance_threshold)
     # The specimen as the model represents it: its full-rank expansion.
     targets = mfpca_reconstruct(model, model.scores, model.eigenvalues.shape[0])
@@ -346,21 +322,21 @@ def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfigura
     # Smooth before differentiating: SRVFs of raw noisy polylines are
     # noise-dominated and would drive the warp search.
     k_reg = _registration_basis_size(settings, result.aligned.shape[1])
-    smoothed_aligned, _ = _smooth_stack(result.aligned, settings, grid, n_basis=k_reg)
+    smoothed_aligned = _smooth_stack(result.aligned, k_reg, grid)
     lam, alpha = chain.warp_penalty_and_blend(settings)
     registration = karcher_mean([SrvfCurve(grid, q) for q in to_srvf(smoothed_aligned, grid)], lam=lam, alpha=alpha)
     amplitudes = center(from_srvf(np.stack([q.q for q in registration.aligned]), grid))
 
     # Amplitude and SRVF functions carry transformed (non-i.i.d.) noise, so
     # their spectra use the plain estimator.
-    smoothed, _ = _smooth_stack(amplitudes, settings, grid)
-    model = _fit_coordinate_mfpca(smoothed, grid, settings.m_target)
+    smoothed = _smooth_stack(amplitudes, settings.n_basis, grid)
+    model = mfpca_fit(smoothed, grid, settings.m_target)
     k95 = _select_k95(pipeline_id, model.eigenvalues, smoothed, settings.variance_threshold)
 
     # SRVF-space decomposition for the reconstruction path, built from the
     # same smoothed aligned amplitudes the representation uses.
     q_stack = to_srvf(smoothed, grid)
-    srvf_model = _fit_coordinate_mfpca(q_stack, grid, settings.m_target)
+    srvf_model = mfpca_fit(q_stack, grid, settings.m_target)
     srvf_k95 = _select_k95(pipeline_id, srvf_model.eigenvalues, q_stack, settings.variance_threshold)
 
     return FittedPipeline(

@@ -8,7 +8,8 @@ Procrustes algebra, GPA, one-row PCA reconstruction and per-specimen
 reconstruction of a fitted pipeline.  The pipelines run the same
 arithmetic on stacked arrays (``curvetools.resample_uniform`` and
 ``curvetools.reparameterise_arclength`` on (K, N, 3) stacks,
-``fit_coefficients`` with one design per stack, ``srvf.align_step``, the
+the cached smoothing maps built from ``fit_coefficients`` (equal to the
+per-curve fits within 64 ulps, not bitwise), ``srvf.align_step``, the
 ``landmarks`` functions on (..., N, 3) stacks and
 ``FittedPipeline.reconstruct`` of all specimens at once, and
 ``basis.design_matrix`` by de Boor's recursion); the tests use

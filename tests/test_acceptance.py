@@ -278,9 +278,10 @@ class TestCriterion5Properties:
 class TestCriterion6Oracles:
     def test_pca_matches_random_search(self):
         rng = np.random.default_rng(7)
-        data = rng.normal(size=(8, 4)) @ np.diag([1.5, 0.8, 0.4, 0.2])
-        model = pca_fit(data)
-        centered = data - data.mean(axis=0)
+        features = rng.normal(size=(8, 4)) @ np.diag([1.5, 0.8, 0.4, 0.2])
+        # two landmarks per configuration, the last two coordinates constant
+        model = pca_fit(np.concatenate([features, np.zeros((8, 2))], axis=1).reshape(8, 2, 3))
+        centered = features - features.mean(axis=0)
         best = 0.0
         for _ in range(10_000):
             v = rng.normal(size=4)

@@ -1,12 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph import classify
+from curvemorph import classify, pipelines, srvf
 from curvemorph.classify import (
-    _fit_predict,
     cross_validate,
+    fit_predict,
     lda_fit,
     lda_predict,
     multinomial_fit,
@@ -477,6 +479,13 @@ class TestCrossValidate:
         assert cross_validate(configs, "GM", "multinomial").unconverged_folds == 5
         assert cross_validate(configs, "GM", "lda").unconverged_folds == 0
 
+    def test_unconverged_karcher_folds_are_counted(self, monkeypatch):
+        configs = simulated_configs(sizes=(4, 4, 4, 4), n_points=15)
+        assert cross_validate(configs, "SoftSrvFdm", "multinomial").unconverged_karcher_folds == 0
+        monkeypatch.setattr(pipelines, "karcher_mean", functools.partial(srvf.karcher_mean, max_iter=2))
+        assert cross_validate(configs, "SoftSrvFdm", "multinomial").unconverged_karcher_folds == 5
+        assert cross_validate(configs, "GM", "multinomial").unconverged_karcher_folds == 0
+
     def test_one_specimen_class_is_rejected(self):
         configs = [LandmarkConfiguration(c.specimen_id, c.points, "B" if i == 4 else "A") for i, c in enumerate(simulated_configs())]
         with pytest.raises(ValueError, match="^label 'B' has 1 specimen; cross validation needs at least 2 per class$"):
@@ -493,8 +502,8 @@ class TestPredictionInvariances:
         scale = rng.uniform(0.2, 5.0, size=3)
         shift = rng.normal(size=3) * 10
         for clf in ("lda", "multinomial", "svm"):
-            base, _ = _fit_predict(clf, x, y, test)
-            rescaled, _ = _fit_predict(clf, x * scale + shift, y, test * scale + shift)
+            base, _ = fit_predict(clf, x, y, test)
+            rescaled, _ = fit_predict(clf, x * scale + shift, y, test * scale + shift)
             assert np.array_equal(base, rescaled)
 
     def test_argmax_invariant_to_constant_score_shift(self):

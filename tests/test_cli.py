@@ -23,6 +23,7 @@ from curvemorph.cli import (
     write_landmark_csv,
 )
 from curvemorph.landmarks import LandmarkConfiguration
+from curvemorph.pipelines import PIPELINE_IDS
 from curvemorph.simgen import SimConfig, generate_replicate
 
 
@@ -231,6 +232,21 @@ class TestRun:
         assert "warnings:\n  " + "\n  ".join(warnings) in capsys.readouterr().err
         assert main(["report", "--out", str(out)]) == 0
         assert "\nwarnings:\n  " + "\n  ".join(warnings) + "\n" in capsys.readouterr().out
+
+    def test_variance_threshold_one_keeps_every_component(self, tmp_path):
+        # The last cumulative fraction of a spectrum can round below 1; the
+        # component count must still stay within the spectrum.
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=1, sizes=(5, 5, 5, 5), n_points=20))
+        out = tmp_path / "out"
+        args = ["run", "--data", str(data), "--out", str(out), "--pipelines", "all", "--n-points", "20", "--variance-threshold", "1"]
+        assert main(args) == 0
+        with open(out / "k95.csv", newline="") as fh:
+            k95 = {row["pipeline"]: float(row["k95"]) for row in csv.DictReader(fh)}
+        assert sorted(k95) == sorted(PIPELINE_IDS)
+        for pid, k in k95.items():
+            with open(out / f"scree_{pid}.csv", newline="") as fh:
+                assert 1 <= k <= sum(1 for _ in csv.DictReader(fh))
 
 
 class TestPreprocessCache:
@@ -595,6 +611,26 @@ class TestClassify:
         assert warning in capsys.readouterr().err
         assert main(["report", "--out", str(out)]) == 0
         assert f"\nwarnings:\n  {warning}\n" in capsys.readouterr().out
+
+    def test_unconverged_karcher_means_are_warned_in_manifest_and_report(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(4, 4, 4, 4), n_points=15))
+        args = ["classify", "--data", str(data), "--pipelines", "GM,SoftSrvFdm", "--classifiers", "multinomial",
+                "--n-points", "15", "--svg"]
+        assert main(args + ["--out", str(tmp_path / "converged")]) == 0
+        assert json.loads((tmp_path / "converged" / "manifest.json").read_text())["warnings"] == []
+        capsys.readouterr()
+        monkeypatch.setattr(pipelines, "karcher_mean", functools.partial(srvf.karcher_mean, max_iter=2))
+        out = tmp_path / "capped"
+        assert main(args + ["--out", str(out)]) == 0
+        warnings = [
+            "d/SoftSrvFdm/multinomial: Karcher mean stopped at max_iter without converging in 5 of 5 fold fits",
+            "d/SoftSrvFdm/svg: Karcher mean stopped at 2 iterations without converging",
+        ]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == warnings
+        assert "warnings:\n  " + "\n  ".join(warnings) in capsys.readouterr().err
+        assert main(["report", "--out", str(out)]) == 0
+        assert "\nwarnings:\n  " + "\n  ".join(warnings) + "\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "args",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from curvemorph.curvetools import uniform_params
 from curvemorph.fpca import (
     mfpca,
+    mfpca_fit,
     mfpca_project,
     mfpca_reconstruct,
     select_components,
@@ -165,6 +166,26 @@ class TestMfpca:
             mfpca(models)
 
 
+class TestMfpcaFit:
+    @pytest.mark.parametrize("n,m_target", [(12, 30), (40, 5), (40, 30)])
+    def test_is_ufpca_per_coordinate_then_mfpca(self, n, m_target):
+        grid = uniform_params(20)
+        rng = np.random.default_rng(n + m_target)
+        values = rng.normal(size=(n, 20, 3))
+        noise_covs = [s2 * np.eye(20) for s2 in (0.01, 0.02, 0.03)]
+        j_p = min(n - 1, 20, m_target)
+        models = [ufpca(values[:, :, p], grid, j_p, noise_cov=noise_covs[p], pve=0.9) for p in range(3)]
+        expected = mfpca(models, j_out=min(m_target, sum(u.eigenvalues.shape[0] for u in models)))
+        model = mfpca_fit(values, grid, m_target, noise_covs, pve=0.9)
+        assert np.array_equal(model.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(model.scores, expected.scores)
+        assert all(np.array_equal(a, b) for a, b in zip(model.eigenfunctions, expected.eigenfunctions))
+
+    def test_caps_the_component_count(self):
+        values = np.random.default_rng(3).normal(size=(40, 20, 3))
+        assert mfpca_fit(values, uniform_params(20), 5).eigenvalues.shape == (5,)
+
+
 class TestMfpcaProject:
     def _model_and_values(self):
         grid = uniform_params(30)
@@ -175,22 +196,18 @@ class TestMfpcaProject:
 
     def test_training_data_reproduces_scores(self):
         model, values, _ = self._model_and_values()
-        projected = mfpca_project(model, [values[:, :, p] for p in range(3)])
+        projected = mfpca_project(model, values)
         assert np.max(np.abs(projected - model.scores)) < 1e-8
 
     def test_mean_curve_projects_to_zero(self):
         model, _, _ = self._model_and_values()
-        mean_blocks = [model.univariate[p].mean_fn[None, :] for p in range(3)]
-        assert np.max(np.abs(mfpca_project(model, mean_blocks))) < 1e-8
+        assert np.max(np.abs(mfpca_project(model, model.mean_functions[None]))) < 1e-8
 
     def test_eigen_direction_projects_to_eigen_score(self):
         model, _, _ = self._model_and_values()
         lam = model.eigenvalues[0]
-        blocks = [
-            (model.univariate[p].mean_fn + np.sqrt(lam) * model.eigenfunctions[p][0])[None, :]
-            for p in range(3)
-        ]
-        score = mfpca_project(model, blocks)[0]
+        curve = np.stack([model.univariate[p].mean_fn + np.sqrt(lam) * model.eigenfunctions[p][0] for p in range(3)], axis=1)
+        score = mfpca_project(model, curve[None])[0]
         expected = np.zeros_like(score)
         expected[0] = np.sqrt(lam)
         assert np.max(np.abs(score - expected)) < 1e-8
@@ -198,7 +215,7 @@ class TestMfpcaProject:
     def test_grid_mismatch(self):
         model, values, _ = self._model_and_values()
         with pytest.raises(ValueError, match="grid"):
-            mfpca_project(model, [values[:, :20, p] for p in range(3)])
+            mfpca_project(model, values[:, :20])
 
 
 class TestSelectComponents:
@@ -214,6 +231,20 @@ class TestSelectComponents:
     def test_all_zero_error(self):
         with pytest.raises(ValueError, match="no variance"):
             select_components(np.zeros(4))
+
+    def test_threshold_one_on_a_spectrum_whose_last_fraction_rounds_below_one(self):
+        eigenvalues = np.full(10, 0.1)
+        assert np.cumsum(eigenvalues)[-1] / eigenvalues.sum() < 1.0
+        assert select_components(eigenvalues, 1.0) == 10
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40).filter(lambda v: sum(v) > 0),
+        st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0)),
+    )
+    @settings(max_examples=200)
+    def test_count_lies_within_the_spectrum(self, values, threshold):
+        ev = np.sort(np.asarray(values))[::-1]
+        assert 1 <= select_components(ev, threshold) <= ev.size
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=12).filter(lambda v: sum(v) > 0),

@@ -12,6 +12,7 @@ from curvemorph.pipelines import (
     _preprocess,
     _registration_basis_size,
     _smooth_stack,
+    _smoothing_noise_covs,
     FittedPipeline,
     PIPELINE_IDS,
     PipelineSettings,
@@ -213,7 +214,7 @@ def _align_one(self, pts: np.ndarray) -> np.ndarray:
     """Reference: the object-based alternation that two ``align_step`` calls replaced, for one specimen."""
     lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
     k_reg = _registration_basis_size(self.settings, pts.shape[0])
-    smoothed, _ = _smooth_stack(pts[None], self.settings, self.grid, n_basis=k_reg)
+    smoothed = _smooth_stack(pts[None], k_reg, self.grid)
     q = SrvfCurve(self.grid.copy(), to_srvf(smoothed[0], self.grid))
     # Two rotation/warp alternations; the second rotation sees
     # warp-corrected correspondence.
@@ -263,9 +264,9 @@ class TestPipelineInvariances:
         assert score_rel(base.scores, warped.scores) < 0.05
 
 
-def _smooth_stack_loop(points_stack, settings, grid, n_basis=None):
-    """Reference: the per-curve smooth/evaluate loop ``_smooth_stack`` replaced."""
-    basis = build_basis(n_basis if n_basis is not None else settings.n_basis)
+def _smooth_stack_loop(points_stack, n_basis, grid):
+    """Reference: the per-curve smooth/evaluate loop that ``_smooth_stack`` and ``_smoothing_noise_covs`` replaced."""
+    basis = build_basis(n_basis)
     m_in = points_stack[0].shape[0]
     smoothed, rss = [], np.zeros(3)
     for pts in points_stack:
@@ -290,35 +291,56 @@ def _noisy_curves(n, m, seed):
     return np.sin(freq * 2.0 * np.pi * t + phase) + rng.normal(scale=0.05, size=(n, m, 3))
 
 
+def _round_off(expected: np.ndarray) -> float:
+    """The gap allowed between the cached linear maps and the per-curve loop.
+
+    Both apply the same least-squares fit, the maps as one product per
+    curve and the loop as coefficients, then values; the sums run in
+    another order, so they may differ by a few ulps of the largest value.
+    64 ulps is a bound fixed from float64, not read off the results.
+    """
+    return 64 * np.finfo(float).eps * float(np.max(np.abs(expected)))
+
+
 class TestSmoothStackMatchesLoopOracle:
     @pytest.mark.parametrize("m_in", [12, 30, 48])
     @pytest.mark.parametrize("n_basis", [4, 10, 20])
     def test_smoothed_stack_and_noise_covariances(self, m_in, n_basis):
-        settings = PipelineSettings(n_basis=n_basis)
         stack = _noisy_curves(7, m_in, seed=m_in + n_basis)
         for grid in (uniform_params(30), uniform_params(17)):
             if m_in < n_basis:
-                with pytest.raises(ValueError, match="^underdetermined smoothing$"):
-                    _smooth_stack_loop(stack, settings, grid)
-                with pytest.raises(ValueError, match="^underdetermined smoothing$"):
-                    _smooth_stack(stack, settings, grid)
+                for smooth_stack in (_smooth_stack_loop, _smooth_stack, _smoothing_noise_covs):
+                    with pytest.raises(ValueError, match="^underdetermined smoothing$"):
+                        smooth_stack(stack, n_basis, grid)
                 continue
-            expected, expected_covs = _smooth_stack_loop(stack, settings, grid)
-            smoothed, covs = _smooth_stack(stack, settings, grid)
-            assert np.array_equal(smoothed, expected)
-            assert all(np.array_equal(a, b) for a, b in zip(covs, expected_covs))
-            # the registration path passes its own basis size
-            expected, _ = _smooth_stack_loop(stack, settings, grid, n_basis=4)
-            assert np.array_equal(_smooth_stack(stack, settings, grid, n_basis=4)[0], expected)
+            expected, expected_covs = _smooth_stack_loop(stack, n_basis, grid)
+            smoothed = _smooth_stack(stack, n_basis, grid)
+            assert smoothed.shape == expected.shape
+            assert np.max(np.abs(smoothed - expected)) <= _round_off(expected)
+            covs = _smoothing_noise_covs(stack, n_basis, grid)
+            assert covs.shape == (3, grid.size, grid.size)
+            for cov, expected_cov in zip(covs, expected_covs, strict=True):
+                assert np.max(np.abs(cov - expected_cov)) <= _round_off(expected_cov)
+
+    def test_each_curve_is_smoothed_alone(self):
+        # A specimen's smoothed curve does not depend on the stack it comes in.
+        grid = uniform_params(30)
+        stack = _noisy_curves(9, 30, seed=1)
+        smoothed = _smooth_stack(stack, 10, grid)
+        for i in range(stack.shape[0]):
+            assert np.array_equal(_smooth_stack(stack[i : i + 1], 10, grid)[0], smoothed[i])
+
+    def test_saturated_fit_propagates_no_noise(self):
+        stack = _noisy_curves(3, 12, seed=2)
+        assert np.array_equal(_smoothing_noise_covs(stack, 12, uniform_params(30)), np.zeros((3, 30, 30)))
 
     def test_ill_conditioned_design_is_rejected(self):
         # With as many uniform samples as basis functions, the design's
         # condition number passes 1e12 near 180 functions.
-        settings = PipelineSettings(n_basis=180)
         stack = _noisy_curves(2, 180, seed=0)
-        for smooth_stack in (_smooth_stack_loop, _smooth_stack):
+        for smooth_stack in (_smooth_stack_loop, _smooth_stack, _smoothing_noise_covs):
             with pytest.raises(ValueError, match="^ill-conditioned smoothing design$"):
-                smooth_stack(stack, settings, uniform_params(30))
+                smooth_stack(stack, 180, uniform_params(30))
 
 
 class TestPreprocessCache:

@@ -3,8 +3,10 @@
 Every public module-level function or class of a ``curvemorph`` module must
 be read somewhere in ``src/curvemorph`` (as a name or an attribute), not
 only defined; a function that only tests call belongs with the tests.
-Every name the package exports must resolve.  numpy is the one runtime
-dependency: the package imports nothing else outside the standard library.
+Every name the package exports must resolve.  A module reads no other
+module's underscore names: what crosses a module boundary is public.  numpy
+is the one runtime dependency: the package imports nothing else outside the
+standard library.
 """
 
 import ast
@@ -48,6 +50,30 @@ def test_every_public_definition_has_a_caller_in_src():
 
 def test_every_exported_name_resolves():
     assert [name for name in curvemorph.__all__ if not hasattr(curvemorph, name)] == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_underscore_names():
+    crossings = []
+    for module, tree in MODULES.items():
+        modules_imported = set()  # local names of curvemorph modules imported as a whole
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "curvemorph":
+                for alias in node.names:
+                    if _is_private(alias.name):
+                        crossings.append(f"{module}: from {node.module} import {alias.name}")
+                    elif node.module == "curvemorph" and alias.name in MODULES:
+                        modules_imported.add(alias.asname or alias.name)
+        crossings += [
+            f"{module}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _is_private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in modules_imported
+        ]
+    assert crossings == []
 
 
 def test_imports_only_the_standard_library_and_numpy():
