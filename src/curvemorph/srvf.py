@@ -51,7 +51,7 @@ class SrvfCurve:
             raise ValueError("params/q shape mismatch")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
             raise ValueError("non-finite SRVF data")
-        if np.max(np.abs(t - uniform_params(t.shape[0]))) > 1e-9:
+        if np.max(np.abs(t - _uniform_grid(t.shape[0]))) > 1e-9:
             raise ValueError("SRVF grid must be uniform on [0, 1]")
         self.params = t
         self.q = q
@@ -113,11 +113,83 @@ def from_srvf(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros_like(q[..., :1, :]), np.cumsum(increments, axis=-2)], axis=-2)
 
 
-def _warp_values(t: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(q o g) * sqrt(g') for (M, 3) SRVF values and (M,) warp values on the grid t."""
-    gdot = np.gradient(g, t, edge_order=1)
+@functools.lru_cache(maxsize=8)
+def _uniform_grid(m: int) -> np.ndarray:
+    """Read-only ``uniform_params(m)``, the grid every SRVF is checked against."""
+    t = uniform_params(m)
+    t.flags.writeable = False
+    return t
+
+
+@functools.lru_cache(maxsize=8)
+def _gradient_coefficients(grid: bytes) -> tuple[tuple[np.ndarray, ...], float, float]:
+    """The coefficients of ``np.gradient(g, t, edge_order=1)`` on the grid t whose bytes are ``grid``.
+
+    Returns the interior terms, the step of the first and of the last cell.
+    numpy takes its uniform branch when all steps of t are equal (as those of
+    ``uniform_params(m)`` are for m = 5, 9, 17, ...): the interior is then
+    (g[2:] - g[:-2]) / (2 dx), and the terms are (2 dx,).  Otherwise they
+    are numpy's three weight rows (a, b, c) of a g[:-2] + b g[1:-1] + c g[2:].
+    """
+    dx = np.diff(np.frombuffer(grid))
+    if (dx == dx[0]).all():
+        return (2.0 * dx[0],), dx[0], dx[0]
+    dx1, dx2 = dx[:-1], dx[1:]
+    rows = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * (dx1 + dx2)))
+    for row in rows:
+        row.flags.writeable = False
+    return rows, dx[0], dx[-1]
+
+
+def _gradient(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.gradient(g, t, edge_order=1)`` of (M,) values, bitwise.
+
+    numpy's own coefficients, cached per grid, are applied in numpy's order.
+    """
+    interior, dx_0, dx_n = _gradient_coefficients(t.tobytes())
+    out = np.empty_like(g)
+    inner = out[1:-1]
+    if len(interior) == 1:
+        np.subtract(g[2:], g[:-2], out=inner)
+        inner /= interior[0]
+    else:
+        a, b, c = interior
+        np.multiply(a, g[:-2], out=inner)
+        inner += b * g[1:-1]
+        inner += c * g[2:]
+    out[0] = (g[1] - g[0]) / dx_0
+    out[-1] = (g[-1] - g[-2]) / dx_n
+    return out
+
+
+def _sqrt_slope(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sqrt(max(g', 0)) of (M,) warp values on the grid t."""
+    return np.sqrt(np.maximum(_gradient(g, t), 0.0))
+
+
+@functools.lru_cache(maxsize=8)
+def _identity_terms(grid: bytes) -> tuple[np.ndarray, float]:
+    """sqrt(max(t', 0)) and the roughness integral (sqrt(t') - 1)^2 dt of the identity warp on the grid t.
+
+    ``np.interp`` returns the node values at the nodes, so the identity acts
+    on SRVF values q as q * sqrt(t'), and its penalty is lam times the
+    roughness.
+    """
+    t = np.frombuffer(grid)
+    root = _sqrt_slope(t, t)
+    root.flags.writeable = False
+    return root, float(np.trapezoid((root - 1.0) ** 2, t))
+
+
+def _warp_values(t: np.ndarray, q: np.ndarray, g: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
+    """(q o g) * sqrt(g') for (M, 3) SRVF values and (M,) warp values on the grid t.
+
+    ``root`` is sqrt(max(g', 0)) from ``_sqrt_slope`` when the caller has it already.
+    """
+    if root is None:
+        root = _sqrt_slope(t, g)
     warped = np.column_stack([np.interp(g, t, q[:, j]) for j in range(3)])
-    return warped * np.sqrt(np.maximum(gdot, 0.0))[:, None]
+    return warped * root[:, None]
 
 
 def soft_warp(gamma: WarpingFunction, alpha: float) -> WarpingFunction:
@@ -180,16 +252,19 @@ def _edge_tables(m: int) -> tuple[np.ndarray, ...]:
 _gather = threading.local()
 
 
-def _gather_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's three (n_steps, m, 3 (depth + 1)) gather arrays for ``_edge_costs``.
+def _gather_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's gather arrays for ``_edge_costs``: a, its (n_steps, m) row norms, b and b_hi.
 
-    They are kept for the last grid size, because allocating and freeing
-    arrays of this size on every call costs a page fault per page touched
-    once they exceed malloc's mmap threshold.
+    The three gathers are (n_steps, m, 3 (depth + 1)).  They are kept for
+    the last grid size, because allocating and freeing arrays of this size
+    on every call costs a page fault per page touched once they exceed
+    malloc's mmap threshold.  ``_gather.target`` holds the bytes of the
+    target whose gather a and its norms hold, or None.
     """
     buffers = getattr(_gather, "buffers", None)
     if buffers is None or buffers[0].shape != shape:
-        buffers = _gather.buffers = tuple(np.empty(shape) for _ in range(3))
+        _gather.target = None
+        buffers = _gather.buffers = (np.empty(shape), np.empty(shape[:2]), np.empty(shape), np.empty(shape))
     return buffers
 
 
@@ -202,14 +277,22 @@ def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: floa
     roughness penalty lam * (sqrt(s) - 1)^2 * di * dt.  Scaling each
     quadrature row by its square-rooted weight makes that sum one squared
     distance |a_k[i] - b_k[j]|^2 between stacked 3 (depth + 1)-vectors, so
-    every step comes from one batched matrix product.
+    every step comes from one batched matrix product.  The target side a
+    and its norms depend on q_target alone, and every call of a Karcher
+    pass shares one template, so they are gathered again only when the
+    target changes.
     """
     idx_t, idx_lo, idx_hi, w_t, w_lo, w_hi = _edge_tables(q_target.shape[0])
-    a, b, b_hi = _gather_buffers(idx_t.shape)
-    q_t, q_s = q_target.ravel(), q_source.ravel()
+    a, a_norms, b, b_hi = _gather_buffers(idx_t.shape)
+    target = q_target.tobytes()
     # Indices are in range, so mode="clip" only spares take a copy of ``out``.
-    np.take(q_t, idx_t, out=a, mode="clip")
-    a *= w_t
+    if target != _gather.target:
+        _gather.target = None  # a is not the gather of any target until it is filled
+        np.take(q_target.ravel(), idx_t, out=a, mode="clip")
+        a *= w_t
+        np.einsum("kir,kir->ki", a, a, out=a_norms)
+        _gather.target = target
+    q_s = q_source.ravel()
     np.take(q_s, idx_lo, out=b, mode="clip")
     b *= w_lo
     np.take(q_s, idx_hi, out=b_hi, mode="clip")
@@ -217,7 +300,7 @@ def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: floa
     b += b_hi
     costs = np.matmul(a, b.transpose(0, 2, 1))
     costs *= -2.0
-    costs += np.einsum("kir,kir->ki", a, a)[:, :, None]
+    costs += a_norms[:, :, None]
     costs += np.einsum("kjr,kjr->kj", b, b)[:, None, :]
     costs *= dt
     costs += (lam * (np.sqrt(_DP_DJ / _DP_DI) - 1.0) ** 2 * (_DP_DI * dt))[:, None, None]
@@ -230,25 +313,26 @@ def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) ->
     Dynamic programming over the full M x M lattice with local slopes
     restricted to [1/4, 4]; the penalty lam * integral (sqrt(gamma') - 1)^2
     discourages departures from the identity.  Falls back to the identity
-    warp whenever it scores no worse than the DP optimum, so alignment never
-    increases the realized distance.
+    warp when it scores strictly better than the DP optimum, so alignment
+    never increases the realized distance; on a tie the DP warp is kept.
+    Both curves must sit on the same grid.
     """
-    m = q_target.n_samples
-    if m != q_source.n_samples:
+    t = q_target.params
+    m = t.shape[0]
+    if not np.array_equal(q_source.params, t):
         raise ValueError("SRVFs must share a grid")
     if m < 5:
         raise ValueError("grid too small for warp estimation")
     warp = _dp_warp(q_target, q_source, lam)
 
     # Realized-objective guard: never do worse than not warping at all.
-    t = q_target.params
+    def objective(action: np.ndarray, roughness: float) -> float:
+        return _l2_norm_sq(t, q_target.q - action) + lam * roughness
 
-    def objective(g: np.ndarray) -> float:
-        gdot = np.gradient(g, t, edge_order=1)
-        pen = lam * float(np.trapezoid((np.sqrt(np.maximum(gdot, 0.0)) - 1.0) ** 2, t))
-        return _l2_norm_sq(t, q_target.q - _warp_values(q_source.params, q_source.q, g)) + pen
-
-    if objective(warp.gamma) > objective(uniform_params(m)):
+    root = _sqrt_slope(t, warp.gamma)
+    dp = objective(_warp_values(t, q_source.q, warp.gamma, root), float(np.trapezoid((root - 1.0) ** 2, t)))
+    identity_root, identity_roughness = _identity_terms(t.tobytes())
+    if dp > objective(q_source.q * identity_root[:, None], identity_roughness):
         return identity_warp(m)
     return warp
 
@@ -283,8 +367,8 @@ def _dp_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
     for i in range(1, m):
         cand = flat[pred + i * width]
         cand += costs[:, i, :].T
-        best_step[i] = np.argmin(cand, axis=1)
-        dist[pad + i, pad:] = cand[cols, best_step[i]]
+        best = best_step[i] = cand.argmin(axis=1)
+        dist[pad + i, pad:] = cand[cols, best]
 
     # Backtrack the node path from (m-1, m-1).
     path_i, path_j = [m - 1], [m - 1]
@@ -406,7 +490,8 @@ def karcher_mean(
     if np.max(np.abs(mean_gamma - t)) > 1e-12:
         correction = invert_warp(WarpingFunction(t, mean_gamma)).gamma
         warps = np.stack([np.interp(correction, t, g) for g in warps])
-        aligned = np.stack([_warp_values(t, a, correction) for a in aligned])
+        root = _sqrt_slope(t, correction)
+        aligned = np.stack([_warp_values(t, a, correction, root) for a in aligned])
         template = SrvfCurve(t.copy(), np.mean(aligned, axis=0))
     aligned = [SrvfCurve(t.copy(), a) for a in aligned]
     warps = [WarpingFunction(t.copy(), g) for g in warps]

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
@@ -174,6 +174,29 @@ class TestEstimateWarp:
         with pytest.raises(ValueError, match="grid too small"):
             estimate_warp(smooth_random_q(4, 0), smooth_random_q(4, 1))
 
+    def test_a_tie_keeps_the_dp_warp(self):
+        q_target, q_source = smooth_random_q(30, 1), smooth_random_q(30, 2)
+        t = q_target.params
+        # The identity returned as the DP warp scores exactly the identity's objective.
+        tied = WarpingFunction(t, t.copy())
+        with mock.patch.object(srvf, "_dp_warp", return_value=tied):
+            assert estimate_warp(q_target, q_source, 0.01) is tied
+
+    def test_identity_when_it_scores_strictly_better(self):
+        q = smooth_random_q(30, 1)
+        worse = bump_warp(30)
+        with mock.patch.object(srvf, "_dp_warp", return_value=worse):
+            warp = estimate_warp(q, q, 0.01)
+        assert warp is not worse and np.array_equal(warp.gamma, q.params)
+
+    @pytest.mark.parametrize("source_m", [30, 31])
+    def test_curves_on_different_grids_are_rejected(self, source_m):
+        q_target, q_source = smooth_random_q(30, 1), smooth_random_q(source_m, 2)
+        moved = q_source.params.copy()
+        moved[7] += 1e-10  # still a valid SRVF grid, but not the target's
+        with pytest.raises(ValueError, match="^SRVFs must share a grid$"):
+            estimate_warp(q_target, SrvfCurve(moved, q_source.q))
+
     @pytest.mark.parametrize("m", [5, 6])
     def test_smallest_grids(self, m):
         for seed in range(4):
@@ -309,6 +332,97 @@ class TestStackedKernelsMatchLoopOracle:
         assert np.max(np.abs(warp.gamma - oracle_warp.gamma)) <= 1e-12
 
 
+def _warp_values_np(t: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Reference: ``srvf._warp_values`` with its gradient from ``np.gradient``."""
+    gdot = np.gradient(g, t, edge_order=1)
+    warped = np.column_stack([np.interp(g, t, q[:, j]) for j in range(3)])
+    return warped * np.sqrt(np.maximum(gdot, 0.0))[:, None]
+
+
+def _estimate_warp_np(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFunction:
+    """Reference: ``estimate_warp`` with its guard evaluating both objectives through numpy."""
+    m = q_target.n_samples
+    warp = srvf._dp_warp(q_target, q_source, lam)
+    t = q_target.params
+
+    def objective(g: np.ndarray) -> float:
+        gdot = np.gradient(g, t, edge_order=1)
+        pen = lam * float(np.trapezoid((np.sqrt(np.maximum(gdot, 0.0)) - 1.0) ** 2, t))
+        return _l2_norm_sq(t, q_target.q - _warp_values_np(q_source.params, q_source.q, g)) + pen
+
+    if objective(warp.gamma) > objective(uniform_params(m)):
+        return identity_warp(m)
+    return warp
+
+
+def node_path_warp(m: int, seed: int) -> np.ndarray:
+    """Warp values through a random monotone path of grid nodes, so many values fall exactly on nodes."""
+    rng = np.random.default_rng(seed)
+    t = uniform_params(m)
+    path = [(0, 0)]
+    while True:
+        di, dj = rng.integers(1, 3, size=2)
+        i, j = path[-1][0] + di, path[-1][1] + dj
+        if max(i, j) >= m - 1:
+            break
+        path.append((i, j))
+    path_i, path_j = np.array(path + [(m - 1, m - 1)]).T
+    return np.interp(t, t[path_i], t[path_j])
+
+
+class TestGuardAndWarpActionMatchNumpyOracle:
+    """Gradients from cached per-grid coefficients and the identity's cached terms against numpy, bit for bit."""
+
+    @given(
+        st.integers(min_value=5, max_value=130),
+        st.sampled_from([0.0, 0.01, 1.0]),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(["identity", "dp", "soft", "nodes"]),
+        st.booleans(),
+    )
+    # Grids of 2^k + 1 points have equal steps, where numpy takes its uniform branch.
+    @example(5, 0.01, 1, "dp", False)
+    @example(9, 1.0, 2, "nodes", True)
+    @example(33, 0.0, 3, "soft", False)
+    @example(129, 0.01, 4, "identity", True)
+    @settings(max_examples=60, deadline=None)
+    def test_warps_actions_and_guard(self, m, lam, seed, kind, near):
+        q_target = smooth_random_q(m, seed)
+        # A nearby source lets the identity win the guard as well.
+        noise = 1e-3 * np.random.default_rng(seed).normal(size=(m, 3))
+        q_source = SrvfCurve(q_target.params, q_target.q + noise) if near else smooth_random_q(m, seed + 1)
+        t = q_target.params
+        dp = srvf._dp_warp(q_target, q_source, lam)
+        g = {
+            "identity": t.copy(),
+            "dp": dp.gamma,
+            "soft": soft_warp(dp, 0.6).gamma,
+            "nodes": node_path_warp(m, seed),
+        }[kind]
+        assert bitwise_equal(srvf._gradient(g, t), np.gradient(g, t, edge_order=1))
+        assert bitwise_equal(srvf._warp_values(t, q_source.q, g), _warp_values_np(t, q_source.q, g))
+
+        root, roughness = srvf._identity_terms(t.tobytes())
+        assert bitwise_equal(q_source.q * root[:, None], _warp_values_np(t, q_source.q, t))
+        assert roughness == float(np.trapezoid((np.sqrt(np.maximum(np.gradient(t, t), 0.0)) - 1.0) ** 2, t))
+
+        def both():
+            return estimate_warp(q_target, q_source, lam).gamma, _estimate_warp_np(q_target, q_source, lam).gamma
+
+        assert bitwise_equal(*both())
+        with mock.patch.object(srvf, "_dp_warp", return_value=WarpingFunction(t, g)):
+            assert bitwise_equal(*both())
+
+    def test_uniform_branch_exactly_where_numpy_takes_it(self):
+        uniform = []
+        for m in range(2, 300):
+            dx = np.diff(uniform_params(m))
+            interior, _, _ = srvf._gradient_coefficients(uniform_params(m).tobytes())
+            assert (len(interior) == 1) == bool((dx == dx[0]).all())
+            uniform += [m] * (len(interior) == 1)
+        assert uniform == [2, 3, 5, 9, 17, 33, 65, 129, 257]
+
+
 def _edge_costs_fresh_gathers(q_target, q_source, dt, lam):
     """Reference: ``srvf._edge_costs`` gathering into new arrays on every call."""
     idx_t, idx_lo, idx_hi, w_t, w_lo, w_hi = srvf._edge_tables(q_target.shape[0])
@@ -325,7 +439,7 @@ def _edge_costs_fresh_gathers(q_target, q_source, dt, lam):
 
 
 class TestEdgeCostGatherBuffers:
-    """``_edge_costs`` gathers into per-thread buffers that it reuses per grid size."""
+    """``_edge_costs`` gathers into per-thread buffers, kept per grid size and, on the target side, per template."""
 
     def test_bitwise_fresh_gathers_across_grid_sizes(self):
         results = []
@@ -336,6 +450,16 @@ class TestEdgeCostGatherBuffers:
         # Every result is still its own array after later calls reused the buffers.
         for costs, q_t, q_s, dt in results:
             assert bitwise_equal(costs, _edge_costs_fresh_gathers(q_t, q_s, dt, 0.01))
+
+    def test_one_template_many_sources_and_a_template_changed_in_place(self):
+        q_target = smooth_random_q(30, 1).q.copy()
+        dt = 1.0 / 29
+        for seed in range(2, 8):
+            if seed == 5:
+                q_target[4] += 1e-3  # same array, new values: the target must be gathered again
+            q_source = smooth_random_q(30, seed).q
+            costs = srvf._edge_costs(q_target, q_source, dt, 0.01)
+            assert bitwise_equal(costs, _edge_costs_fresh_gathers(q_target, q_source, dt, 0.01))
 
     def test_threads_do_not_share_buffers(self):
         """More threads than cores, switching often, on two grid sizes: no call sees another's gathers."""
@@ -356,11 +480,33 @@ class TestEdgeCostGatherBuffers:
             expected = _edge_costs_fresh_gathers(q_target.q, q_source.q, 0.05, 0.0)
             assert all(bitwise_equal(r, expected) for r in results)
 
+    def test_threads_alternating_templates_see_only_their_own_target_gather(self):
+        """Each thread alternates between two templates of its own on one grid size; every result is its own."""
+        cases = [tuple(smooth_random_q(30, 3 * k + i) for i in range(3)) for k in range(6)]
+
+        def costs(case):
+            first, second, q_source = case
+            return [srvf._edge_costs((first, second)[n % 2].q, q_source.q, 0.05, 0.0) for n in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                per_case = [future.result(timeout=60) for future in [pool.submit(costs, case) for case in cases]]
+        finally:
+            sys.setswitchinterval(interval)
+        for (first, second, q_source), results in zip(cases, per_case):
+            expected = [_edge_costs_fresh_gathers(q.q, q_source.q, 0.05, 0.0) for q in (first, second)]
+            assert all(bitwise_equal(r, expected[n % 2]) for n, r in enumerate(results))
+
+    @pytest.mark.parametrize("new_template", [False, True])
     @pytest.mark.parametrize("m", [30, 60, 120])
-    def test_warm_call_allocates_less_than_one_gather(self, m):
+    def test_warm_call_allocates_less_than_one_gather(self, m, new_template):
         q_target, q_source = smooth_random_q(m, 1), smooth_random_q(m, 2)
         dt = float(q_target.params[1])
         srvf._edge_costs(q_target.q, q_source.q, dt, 0.1)
+        if new_template:
+            q_target = smooth_random_q(m, 3)
         tracemalloc.start()
         try:
             costs = srvf._edge_costs(q_target.q, q_source.q, dt, 0.1)
@@ -603,6 +749,19 @@ class TestKarcherMatchesObjectLoopOracle:
         qs[2] = SrvfCurve(shifted, qs[2].q)
         with pytest.raises(ValueError, match="share a grid"):
             karcher_mean(qs)
+
+
+class TestSrvfCurveValidation:
+    @pytest.mark.parametrize("m", [5, 30, 31])
+    def test_grid_within_1e_9_of_uniform(self, m):
+        t, q = uniform_params(m), np.zeros((m, 3))
+        for _ in range(2):  # the second pass checks against the cached grid
+            moved = t.copy()
+            moved[m // 2] += 5e-10
+            assert SrvfCurve(moved, q).params is moved
+            moved[m // 2] += 1e-9
+            with pytest.raises(ValueError, match="grid must be uniform"):
+                SrvfCurve(moved, q)
 
 
 class TestWarpingFunctionValidation:
