@@ -122,7 +122,7 @@ def _uniform_grid(m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _gradient_coefficients(grid: bytes) -> tuple[tuple[np.ndarray, ...], float, float]:
+def _gradient_coefficients(grid: bytes) -> tuple[tuple[np.ndarray | float, ...], float, float]:
     """The coefficients of ``np.gradient(g, t, edge_order=1)`` on the grid t whose bytes are ``grid``.
 
     Returns the interior terms, the step of the first and of the last cell.

@@ -499,8 +499,10 @@ class TestEdgeCostGatherBuffers:
             expected = [_edge_costs_fresh_gathers(q.q, q_source.q, 0.05, 0.0) for q in (first, second)]
             assert all(bitwise_equal(r, expected[n % 2]) for n, r in enumerate(results))
 
-    @pytest.mark.parametrize("new_template", [False, True])
-    @pytest.mark.parametrize("m", [30, 60, 120])
+    @pytest.mark.parametrize(
+        "m,new_template",
+        [pytest.param(m, new, id=f"{m}-new-template" if new else str(m)) for new in (False, True) for m in (30, 60, 120)],
+    )
     def test_warm_call_allocates_less_than_one_gather(self, m, new_template):
         q_target, q_source = smooth_random_q(m, 1), smooth_random_q(m, 2)
         dt = float(q_target.params[1])
