@@ -11,7 +11,7 @@ validation, plus a seeded helix simulation harness, round out the toolkit.
 
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation, superimpose
 from curvemorph.curvetools import derivative, reparameterise_arclength, resample_uniform
-from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, soft_warp, to_srvf
+from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, to_srvf
 from curvemorph.fpca import MfpcaModel, UnivariateFpcaModel, mfpca, mfpca_fit, mfpca_project, select_components, ufpca
 from curvemorph.pca import PcaModel, pca_fit, pca_reconstruct
 from curvemorph.pipelines import PIPELINE_IDS, PipelineOutput, PipelineSettings, evaluate_mse, run_pipeline
@@ -35,7 +35,6 @@ __all__ = [
     "to_srvf",
     "from_srvf",
     "estimate_warp",
-    "soft_warp",
     "karcher_mean",
     "UnivariateFpcaModel",
     "MfpcaModel",

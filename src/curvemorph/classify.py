@@ -335,6 +335,14 @@ def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:
     return folds
 
 
+def canonical_classifier(name: str) -> str:
+    """Map case variants (e.g. 'LDA') to a name of ``CLASSIFIER_NAMES``."""
+    key = name.lower()
+    if key not in CLASSIFIER_NAMES:
+        raise ValueError(f"unknown classifier {name!r}; valid: {', '.join(CLASSIFIER_NAMES)}")
+    return key
+
+
 def fit_predict(classifier: str, train_x, train_y, test_x) -> tuple[np.ndarray, bool]:
     """Predicted labels of the test rows, and whether the classifier's fit converged.
 
@@ -364,8 +372,7 @@ def cross_validate(
     settings=None,
 ) -> CvReport:
     """Stratified ``N_FOLDS``-fold CV with the full pipeline refit on every training fold."""
-    if classifier not in CLASSIFIER_NAMES:
-        raise ValueError(f"unknown classifier {classifier!r}; valid: {', '.join(CLASSIFIER_NAMES)}")
+    classifier = canonical_classifier(classifier)
     labels = np.array([c.label for c in configs])
     if any(lbl is None for lbl in labels):
         raise ValueError("all specimens need labels for cross validation")
@@ -394,7 +401,7 @@ def cross_validate(
         test_scores = fitted.transform([configs[i] for i in test_idx])
         predicted, converged = fit_predict(classifier, train_scores, labels[train_idx], test_scores)
         unconverged += not converged
-        unconverged_karcher += fitted.karcher_converged is False
+        unconverged_karcher += fitted.karcher is not None and not fitted.karcher.converged
         actual = labels[test_idx]
         per_fold[f] = float(np.mean(predicted == actual))
         for a, p in zip(actual, predicted):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from curvemorph import __version__
-from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, cross_validate, fit_predict, stratified_kfold
+from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, canonical_classifier, cross_validate, fit_predict, stratified_kfold
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, canonical_pipeline_id, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
@@ -229,13 +229,6 @@ def _resolve_names(values: dict, key: str, valid: tuple[str, ...], canonical) ->
     return names
 
 
-def _canonical_classifier(name: str) -> str:
-    name = name.lower()
-    if name not in CLASSIFIER_NAMES:
-        raise ValueError(f"unknown classifier {name!r}; valid: {', '.join(CLASSIFIER_NAMES)}")
-    return name
-
-
 def _resolve_data(values: dict) -> list[Path]:
     raw = values.get("data")
     if not raw:
@@ -385,9 +378,9 @@ def cmd_run(args) -> int:
 
     results, failures = _run_tasks(tasks, worker)
     warnings = [
-        f"{'/'.join(key)}: Karcher mean stopped at {output.fitted.karcher_iterations} iterations without converging"
+        f"{'/'.join(key)}: Karcher mean stopped at {output.fitted.karcher.iterations} iterations without converging"
         for key, output in results.items()
-        if not isinstance(output, Exception) and output.fitted.karcher_converged is False
+        if not isinstance(output, Exception) and output.fitted.karcher is not None and not output.fitted.karcher.converged
     ]
 
     outputs = []
@@ -492,7 +485,7 @@ def cmd_classify(args) -> int:
     values = _merged(args)
     settings = settings_from(values)
     pipelines = _resolve_names(values, "pipelines", PIPELINE_IDS, canonical_pipeline_id)
-    classifiers = _resolve_names(values, "classifiers", CLASSIFIER_NAMES, _canonical_classifier)
+    classifiers = _resolve_names(values, "classifiers", CLASSIFIER_NAMES, canonical_classifier)
     replicates = _load_replicates(values)
     seed = values["seed"]
 
@@ -551,12 +544,14 @@ def cmd_classify(args) -> int:
         for pid in pipelines:
             try:
                 output = run_pipeline(pid, configs, settings)
-            except ValueError:
+            except ValueError as exc:
+                warnings.append(f"{rep_name}/{pid}/svg: {exc}")
                 continue
-            if output.fitted.karcher_converged is False:
-                iterations = output.fitted.karcher_iterations
-                warnings.append(f"{rep_name}/{pid}/svg: Karcher mean stopped at {iterations} iterations without converging")
-            if output.scores.shape[1] < 2:
+            karcher = output.fitted.karcher
+            if karcher is not None and not karcher.converged:
+                warnings.append(f"{rep_name}/{pid}/svg: Karcher mean stopped at {karcher.iterations} iterations without converging")
+            if output.k95 < 2:
+                warnings.append(f"{rep_name}/{pid}/svg: k95 = {output.k95}; a component pair needs at least 2 components")
                 continue
             j, acc = _best_adjacent_pair(output.scores, labels, seed)
             pair = output.scores[:, j : j + 2]

@@ -1,15 +1,13 @@
 """The eight morphometric pipelines: scores, truncated reconstructions, MSE.
 
-``CHAINS`` gives each pipeline id its stage choices, and every chain fits
-into the same ``FittedPipeline``.  Chains share three backbones.  GM-style
-pipelines run Procrustes alignment and classical PCA of the landmark
-coordinates.  FDM-style pipelines smooth each coordinate function with a
-cubic B-spline basis and decompose with multivariate FPCA.  Elastic pipelines first register curves to a Karcher
-template in square-root velocity space (fully, or softened by an
-identity blend), then feed the aligned amplitude curves through the FDM
-backbone; reconstruction for those runs in SRVF space and maps back by time
-integration.  Arc-prefixed variants reparameterise every curve to uniform
-arc length before anything else.
+``CHAINS`` gives each pipeline id its stage choices, and one fit runs the
+stages in order, each switched on or off by the chain: preprocess (resample,
+or reparameterise to uniform arc length in the Arc chains); GPA (GM and
+elastic chains); Karcher registration in square-root velocity space, full or
+softened by an identity blend (elastic chains); then B-spline smoothing and
+multivariate FPCA (FDM and elastic chains) or classical PCA of the landmark
+coordinates (GM chains).  The elastic chains reconstruct through an
+SRVF-space model and map back by time integration.
 
 Every fitted pipeline can project held-out specimens through its trained
 transforms without refitting, which is what the cross-validation protocol
@@ -29,7 +27,7 @@ from curvemorph.curvetools import DegenerateCurveError, reparameterise_arclength
 from curvemorph.fpca import MfpcaModel, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components
 from curvemorph.landmarks import LandmarkConfiguration, ZeroCentroidSizeError, align_to_reference, center, gpa, superimpose
 from curvemorph.pca import PcaModel, pca_fit, pca_project, pca_reconstruct
-from curvemorph.srvf import SrvfCurve, align_step, from_srvf, karcher_mean, to_srvf
+from curvemorph.srvf import KarcherResult, SrvfCurve, align_step, from_srvf, karcher_mean, to_srvf
 
 
 @dataclass(frozen=True)
@@ -165,13 +163,16 @@ def _preprocess(configs: list[LandmarkConfiguration], settings: PipelineSettings
     return points
 
 
-def _registration_basis_size(settings: PipelineSettings, m_in: int) -> int:
-    """Richer basis for the registration path than for the representation.
+def _registration_srvfs(pts: np.ndarray, settings: PipelineSettings, grid: np.ndarray) -> np.ndarray:
+    """(K, M, 3) SRVFs on the grid of a (K, N, 3) stack, smoothed first with a richer basis than the representation's.
 
     Registration needs fidelity (a coarse projection does not commute with
-    warping); the representation keeps the parsimonious basis.
+    warping); the representation keeps the parsimonious basis.  Smooth before
+    differentiating: SRVFs of raw noisy polylines are noise-dominated and
+    would drive the warp search.
     """
-    return max(settings.n_basis, min(2 * settings.n_basis, m_in - 1))
+    n_basis = max(settings.n_basis, min(2 * settings.n_basis, pts.shape[1] - 1))
+    return to_srvf(_smooth_stack(pts, n_basis, grid), grid)
 
 
 def _smooth_stack(points_stack: np.ndarray, n_basis: int, grid: np.ndarray) -> np.ndarray:
@@ -231,10 +232,8 @@ class FittedPipeline:
     recon_k95: int
     targets: np.ndarray  # (n, N, 3) what each reconstruction is superimposed on and scored against
     consensus: np.ndarray | None = None  # GPA consensus (GM and elastic chains)
-    template: SrvfCurve | None = None  # Karcher template (elastic chains)
-    sizes: np.ndarray | None = None  # raw centroid sizes (elastic chains)
-    karcher_iterations: int | None = None  # Karcher mean iterations run (elastic chains)
-    karcher_converged: bool | None = None  # whether the Karcher mean met its stopping rule (elastic chains)
+    sizes: np.ndarray | None = None  # raw centroid sizes (GM and elastic chains)
+    karcher: KarcherResult | None = None  # Karcher template, iterations and convergence (elastic chains)
 
     @property
     def scores(self) -> np.ndarray:
@@ -243,14 +242,12 @@ class FittedPipeline:
     def _align_amplitude(self, pts: np.ndarray) -> np.ndarray:
         """Register a (K, N, 3) stack of smoothed unit-size configurations to the trained template."""
         lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
-        k_reg = _registration_basis_size(self.settings, pts.shape[1])
-        smoothed = _smooth_stack(pts, k_reg, self.grid)
         aligned = []
-        for q in to_srvf(smoothed, self.grid):
+        for q in _registration_srvfs(pts, self.settings, self.grid):
             # Two rotation/warp alternations: the second rotation sees the
             # correspondence of the first, unblended warp.
-            rotated, _, gamma, _ = align_step(q, self.template, None, lam, 1.0)
-            _, q_aligned, _, _ = align_step(rotated, self.template, gamma, lam, alpha)
+            rotated, _, gamma, _ = align_step(q, self.karcher.template, None, lam, 1.0)
+            _, q_aligned, _, _ = align_step(rotated, self.karcher.template, gamma, lam, alpha)
             aligned.append(q_aligned)
         return center(from_srvf(np.stack(aligned), self.grid))
 
@@ -288,73 +285,51 @@ def _naming_specimens(procrustes, configs: list[LandmarkConfiguration], points: 
         raise ValueError(f"zero centroid size: specimen {ids}") from exc
 
 
-def _fit_gm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
-    targets = _preprocess(configs, settings, chain.arc)
-    result = _naming_specimens(gpa, configs, targets)
-    model = pca_fit(result.aligned)
-    retained = model.eigenvalues[: min(settings.m_target, model.k_max)]
-    k95 = _select_k95(pipeline_id, retained, result.aligned, settings.variance_threshold)
+def _fit(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
+    """Run the chain's stages in order: preprocess, GPA, Karcher registration, represent and decompose, reconstruction model."""
     grid = uniform_params(settings.n_points)
+    pts = targets = _preprocess(configs, settings, chain.arc)
+    consensus = sizes = registration = None
+    if chain.backbone != "fdm":
+        result = _naming_specimens(gpa, configs, pts)
+        pts, consensus, sizes = result.aligned, result.consensus, result.centroid_sizes
+    if chain.backbone == "elastic":
+        lam, alpha = chain.warp_penalty_and_blend(settings)
+        registration = karcher_mean([SrvfCurve(grid, q) for q in _registration_srvfs(pts, settings, grid)], lam=lam, alpha=alpha)
+        pts = center(from_srvf(np.stack([q.q for q in registration.aligned]), grid))
+
+    if chain.backbone == "gm":
+        model = pca_fit(pts)
+        eigenvalues = model.eigenvalues[: min(settings.m_target, model.k_max)]
+    else:
+        noise_covs = pve = None
+        if chain.backbone == "fdm":
+            # The univariate step both corrects the spectrum for smoothing-propagated
+            # measurement noise and downgrades the retained components by the same
+            # cumulative-variance rule used everywhere else.  Amplitude and SRVF
+            # functions carry transformed (non-i.i.d.) noise, so the elastic
+            # chains' spectra use the plain estimator.
+            noise_covs, pve = _smoothing_noise_covs(pts, settings.n_basis, grid), settings.variance_threshold
+        pts = _smooth_stack(pts, settings.n_basis, grid)
+        model = mfpca_fit(pts, grid, settings.m_target, noise_covs, pve)
+        eigenvalues = model.eigenvalues
+    k95 = _select_k95(pipeline_id, eigenvalues, pts, settings.variance_threshold)
+
+    recon_model, recon_k95 = model, k95
+    if chain.backbone == "fdm":
+        # The specimen as the model represents it: its full-rank expansion.
+        targets = mfpca_reconstruct(model, model.scores, model.eigenvalues.shape[0])
+    elif chain.backbone == "elastic":
+        # SRVF-space decomposition for the reconstruction path, built from the
+        # same smoothed aligned amplitudes the representation uses.
+        q_stack = to_srvf(pts, grid)
+        recon_model = mfpca_fit(q_stack, grid, settings.m_target)
+        recon_k95 = _select_k95(pipeline_id, recon_model.eigenvalues, q_stack, settings.variance_threshold)
+        targets = pts * sizes[:, None, None]
     return FittedPipeline(
-        pipeline_id, chain, settings, grid, model, retained, k95, model, k95, targets, consensus=result.consensus
+        pipeline_id, chain, settings, grid, model, eigenvalues, k95, recon_model, recon_k95, targets, consensus, sizes, registration
     )
 
-
-def _fit_fdm(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
-    grid = uniform_params(settings.n_points)
-    pts = _preprocess(configs, settings, chain.arc)
-    smoothed = _smooth_stack(pts, settings.n_basis, grid)
-    noise_covs = _smoothing_noise_covs(pts, settings.n_basis, grid)
-    # The univariate step both corrects the spectrum for smoothing-propagated
-    # measurement noise and downgrades the retained components by the same
-    # cumulative-variance rule used everywhere else.
-    model = mfpca_fit(smoothed, grid, settings.m_target, noise_covs, settings.variance_threshold)
-    k95 = _select_k95(pipeline_id, model.eigenvalues, smoothed, settings.variance_threshold)
-    # The specimen as the model represents it: its full-rank expansion.
-    targets = mfpca_reconstruct(model, model.scores, model.eigenvalues.shape[0])
-    return FittedPipeline(pipeline_id, chain, settings, grid, model, model.eigenvalues, k95, model, k95, targets)
-
-
-def _fit_elastic(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:
-    pts = _preprocess(configs, settings, chain.arc)
-    result = _naming_specimens(gpa, configs, pts)
-    grid = uniform_params(settings.n_points)
-    # Smooth before differentiating: SRVFs of raw noisy polylines are
-    # noise-dominated and would drive the warp search.
-    k_reg = _registration_basis_size(settings, result.aligned.shape[1])
-    smoothed_aligned = _smooth_stack(result.aligned, k_reg, grid)
-    lam, alpha = chain.warp_penalty_and_blend(settings)
-    registration = karcher_mean([SrvfCurve(grid, q) for q in to_srvf(smoothed_aligned, grid)], lam=lam, alpha=alpha)
-    amplitudes = center(from_srvf(np.stack([q.q for q in registration.aligned]), grid))
-
-    # Amplitude and SRVF functions carry transformed (non-i.i.d.) noise, so
-    # their spectra use the plain estimator.
-    smoothed = _smooth_stack(amplitudes, settings.n_basis, grid)
-    model = mfpca_fit(smoothed, grid, settings.m_target)
-    k95 = _select_k95(pipeline_id, model.eigenvalues, smoothed, settings.variance_threshold)
-
-    # SRVF-space decomposition for the reconstruction path, built from the
-    # same smoothed aligned amplitudes the representation uses.
-    q_stack = to_srvf(smoothed, grid)
-    srvf_model = mfpca_fit(q_stack, grid, settings.m_target)
-    srvf_k95 = _select_k95(pipeline_id, srvf_model.eigenvalues, q_stack, settings.variance_threshold)
-
-    return FittedPipeline(
-        pipeline_id, chain, settings, grid, model, model.eigenvalues, k95, srvf_model, srvf_k95,
-        targets=smoothed * result.centroid_sizes[:, None, None],
-        consensus=result.consensus,
-        template=registration.template,
-        sizes=result.centroid_sizes,
-        karcher_iterations=registration.iterations,
-        karcher_converged=registration.converged,
-    )
-
-
-_FIT_BACKBONE = {"gm": _fit_gm, "fdm": _fit_fdm, "elastic": _fit_elastic}
-
-
-# ---------------------------------------------------------------------------
-# dispatch
 
 def fit_pipeline(pipeline_id: str, configs: list[LandmarkConfiguration], settings: PipelineSettings | None = None) -> FittedPipeline:
     pipeline_id = canonical_pipeline_id(pipeline_id)
@@ -365,9 +340,8 @@ def fit_pipeline(pipeline_id: str, configs: list[LandmarkConfiguration], setting
     if any(c.n_landmarks != n_landmarks for c in configs):
         raise ValueError(f"{pipeline_id}: landmark counts differ across specimens")
 
-    chain = CHAINS[pipeline_id]
     try:
-        return _FIT_BACKBONE[chain.backbone](pipeline_id, chain, configs, settings)
+        return _fit(pipeline_id, CHAINS[pipeline_id], configs, settings)
     except ValueError as exc:
         if str(exc).startswith(pipeline_id):
             raise

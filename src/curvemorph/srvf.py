@@ -56,10 +56,6 @@ class SrvfCurve:
         self.params = t
         self.q = q
 
-    @property
-    def n_samples(self) -> int:
-        return self.params.shape[0]
-
 
 @dataclass
 class WarpingFunction:
@@ -79,16 +75,6 @@ class WarpingFunction:
             raise ValueError("gamma must be strictly increasing")
         self.params = t
         self.gamma = g
-
-
-def identity_warp(m: int) -> WarpingFunction:
-    t = uniform_params(m)
-    return WarpingFunction(t, t.copy())
-
-
-def invert_warp(warp: WarpingFunction) -> WarpingFunction:
-    """Numerical inverse of a warp on the same grid."""
-    return WarpingFunction(warp.params, np.interp(warp.params, warp.gamma, warp.params))
 
 
 def _l2_norm_sq(t: np.ndarray, values: np.ndarray) -> float:
@@ -190,14 +176,6 @@ def _warp_values(t: np.ndarray, q: np.ndarray, g: np.ndarray, root: np.ndarray |
         root = _sqrt_slope(t, g)
     warped = np.column_stack([np.interp(g, t, q[:, j]) for j in range(3)])
     return warped * root[:, None]
-
-
-def soft_warp(gamma: WarpingFunction, alpha: float) -> WarpingFunction:
-    """Convex blend alpha * gamma + (1 - alpha) * identity."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    blended = alpha * gamma.gamma + (1.0 - alpha) * gamma.params
-    return WarpingFunction(gamma.params, blended)
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,10 +290,10 @@ def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) ->
 
     Dynamic programming over the full M x M lattice with local slopes
     restricted to [1/4, 4]; the penalty lam * integral (sqrt(gamma') - 1)^2
-    discourages departures from the identity.  Falls back to the identity
-    warp when it scores strictly better than the DP optimum, so alignment
-    never increases the realized distance; on a tie the DP warp is kept.
-    Both curves must sit on the same grid.
+    discourages departures from the identity; ``lam`` must be >= 0.  Falls
+    back to the identity warp when it scores strictly better than the DP
+    optimum, so alignment never increases the realized distance; on a tie
+    the DP warp is kept.  Both curves must sit on the same grid.
     """
     t = q_target.params
     m = t.shape[0]
@@ -323,28 +301,30 @@ def estimate_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float = 0.0) ->
         raise ValueError("SRVFs must share a grid")
     if m < 5:
         raise ValueError("grid too small for warp estimation")
-    warp = _dp_warp(q_target, q_source, lam)
+    if not lam >= 0.0:
+        raise ValueError("lam must be >= 0")
+    gamma = _dp_warp(q_target, q_source, lam)
 
     # Realized-objective guard: never do worse than not warping at all.
     def objective(action: np.ndarray, roughness: float) -> float:
         return _l2_norm_sq(t, q_target.q - action) + lam * roughness
 
-    root = _sqrt_slope(t, warp.gamma)
-    dp = objective(_warp_values(t, q_source.q, warp.gamma, root), float(np.trapezoid((root - 1.0) ** 2, t)))
+    root = _sqrt_slope(t, gamma)
+    dp = objective(_warp_values(t, q_source.q, gamma, root), float(np.trapezoid((root - 1.0) ** 2, t)))
     identity_root, identity_roughness = _identity_terms(t.tobytes())
     if dp > objective(q_source.q * identity_root[:, None], identity_roughness):
-        return identity_warp(m)
-    return warp
+        return WarpingFunction(uniform_params(m), uniform_params(m))
+    return WarpingFunction(t.copy(), gamma)
 
 
-def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFunction:
-    """Single-grid DP over the slope-constrained node lattice."""
+def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> np.ndarray:
+    """(M,) warp values of the single-grid DP over the slope-constrained node lattice."""
     t = q_target.params
     dt = float(t[1] - t[0])
     path_i, path_j = _dp_path(_edge_costs(q_target.q, q_source.q, dt, lam))
     gamma = np.interp(t, t[path_i], t[path_j])
     gamma[0], gamma[-1] = 0.0, 1.0
-    return WarpingFunction(t.copy(), gamma)
+    return gamma
 
 
 def _dp_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
@@ -401,7 +381,7 @@ def align_step(
     ``prev`` (on q itself when there are none), so the pointwise
     correspondence it relies on is warp-corrected.  The warp of the rotated
     values is then searched by ``estimate_warp`` with penalty ``lam`` and,
-    when ``alpha`` < 1, blended with the identity by ``soft_warp``.
+    when ``alpha`` < 1, blended with the identity: alpha gamma + (1 - alpha) t.
 
     Returns the rotated values, the rotated values acted on by the warp,
     the warp values and the rotation.
@@ -410,9 +390,10 @@ def align_step(
     r = _rotation(q if prev is None else _warp_values(t, q, prev), template.q)
     rotated = q @ r
     warp = estimate_warp(template, SrvfCurve(t, rotated), lam)
+    gamma = warp.gamma
     if alpha < 1.0:
-        warp = soft_warp(warp, alpha)
-    return rotated, _warp_values(t, rotated, warp.gamma), warp.gamma, r
+        gamma = alpha * gamma + (1.0 - alpha) * warp.params
+    return rotated, _warp_values(t, rotated, gamma), gamma, r
 
 
 @dataclass
@@ -421,8 +402,8 @@ class KarcherResult:
 
     template: SrvfCurve
     aligned: list[SrvfCurve]
-    warps: list[WarpingFunction]
-    rotations: list[np.ndarray]
+    warps: np.ndarray  # (K, M) warp values on the template's grid
+    rotations: np.ndarray  # (K, 3, 3)
     iterations: int
     converged: bool
     variance_history: list[float] = field(default_factory=list)
@@ -451,12 +432,17 @@ def karcher_mean(
 
     The template is only defined up to a common reparameterisation; the
     result fixes that gauge by composing everything with the inverse of the
-    mean warp, so the warps average to the identity.
+    mean warp, so the warps average to the identity.  ``lam`` must be >= 0
+    and ``alpha`` lie in [0, 1].
     """
     if len(qs) < 2:
         raise ValueError("karcher_mean needs at least 2 curves")
     if max_iter < 1:
         raise ValueError("karcher_mean needs max_iter >= 1")
+    if not lam >= 0.0:
+        raise ValueError("lam must be >= 0")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     t = qs[0].params
     # One template grid: every curve must sit on exactly the first curve's parameters.
     if any(not np.array_equal(q.params, t) for q in qs):
@@ -488,11 +474,10 @@ def karcher_mean(
 
     mean_gamma = np.mean(warps, axis=0)
     if np.max(np.abs(mean_gamma - t)) > 1e-12:
-        correction = invert_warp(WarpingFunction(t, mean_gamma)).gamma
+        correction = np.interp(t, mean_gamma, t)  # the inverse of the mean warp
         warps = np.stack([np.interp(correction, t, g) for g in warps])
         root = _sqrt_slope(t, correction)
         aligned = np.stack([_warp_values(t, a, correction, root) for a in aligned])
         template = SrvfCurve(t.copy(), np.mean(aligned, axis=0))
     aligned = [SrvfCurve(t.copy(), a) for a in aligned]
-    warps = [WarpingFunction(t.copy(), g) for g in warps]
-    return KarcherResult(template, aligned, warps, list(rotations), iterations, converged, variance_history)
+    return KarcherResult(template, aligned, warps, rotations, iterations, converged, variance_history)

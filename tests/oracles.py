@@ -14,7 +14,9 @@ per-curve fits within 64 ulps, not bitwise), ``srvf.align_step``, the
 ``FittedPipeline.reconstruct`` of all specimens at once, and
 ``basis.design_matrix`` by de Boor's recursion); the tests use
 these as oracles for those array paths and as readable distance and
-warp-action helpers.  The classifiers' former solvers, the dual
+warp-action helpers.  The warp objects' identity, inverse and soft blend
+are the oracles of the (M,) warp arrays that ``srvf.align_step`` and
+``srvf.karcher_mean`` pass around.  The classifiers' former solvers, the dual
 coordinate sweep of the linear SVM and the gradient ascent of the
 multinomial fit, serve as oracles of the active-set and Newton solvers.
 """
@@ -187,14 +189,32 @@ def elastic_distance_sq(a: SrvfCurve, b: SrvfCurve) -> float:
 
 def warp_action(q: SrvfCurve, gamma: WarpingFunction) -> SrvfCurve:
     """Group action of a warp on an SRVF: (q o gamma) * sqrt(gamma')."""
-    if gamma.gamma.shape[0] != q.n_samples:
+    if gamma.gamma.shape[0] != q.params.shape[0]:
         raise ValueError("warp and SRVF must share a grid length")
     return SrvfCurve(q.params.copy(), _warp_values(q.params, q.q, gamma.gamma))
 
 
+def identity_warp(m: int) -> WarpingFunction:
+    t = uniform_params(m)
+    return WarpingFunction(t, t.copy())
+
+
+def invert_warp(warp: WarpingFunction) -> WarpingFunction:
+    """Numerical inverse of a warp on the same grid."""
+    return WarpingFunction(warp.params, np.interp(warp.params, warp.gamma, warp.params))
+
+
+def soft_warp(gamma: WarpingFunction, alpha: float) -> WarpingFunction:
+    """Convex blend alpha * gamma + (1 - alpha) * identity."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    blended = alpha * gamma.gamma + (1.0 - alpha) * gamma.params
+    return WarpingFunction(gamma.params, blended)
+
+
 def rotation_align_srvf(q: SrvfCurve, template: SrvfCurve) -> tuple[SrvfCurve, np.ndarray]:
     """Rotate an SRVF onto a template, minimizing the quadrature-weighted L2 distance."""
-    if q.n_samples != template.n_samples:
+    if q.params.shape[0] != template.params.shape[0]:
         raise ValueError("SRVFs must share a grid")
     r = _rotation(q.q, template.q)
     return SrvfCurve(q.params.copy(), q.q @ r), r

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from curvemorph import classify, pipelines, srvf
 from curvemorph.classify import (
+    CLASSIFIER_NAMES,
+    canonical_classifier,
     cross_validate,
     fit_predict,
     lda_fit,
@@ -458,6 +460,12 @@ class TestCrossValidate:
         monkeypatch.setattr(classify, "fit_pipeline", no_fit)
         with pytest.raises(ValueError, match="^unknown classifier 'forest'; valid: lda, multinomial, svm$"):
             cross_validate(simulated_configs(), "GM", "forest")
+
+    def test_case_variants_of_a_classifier_name_are_that_classifier(self):
+        assert [canonical_classifier(name) for name in ("LDA", "Multinomial", "svm")] == list(CLASSIFIER_NAMES)
+        configs = simulated_configs()
+        upper, lower = cross_validate(configs, "GM", "SVM"), cross_validate(configs, "GM", "svm")
+        assert upper.classifier == "svm" and np.array_equal(upper.per_fold_accuracy, lower.per_fold_accuracy)
 
     def test_one_class_is_rejected(self):
         configs = [LandmarkConfiguration(c.specimen_id, c.points, "A") for c in simulated_configs()]

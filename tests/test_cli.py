@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph import classify, pipelines, srvf
+from curvemorph import classify, cli, pipelines, srvf
 from curvemorph.cli import (
     InputError,
     LANDMARK_HEADER,
@@ -571,6 +572,31 @@ class TestClassify:
         svg = out / "pc_pairs_FDM.svg"
         assert svg.is_file() and svg.read_text().startswith("<svg")
         assert (out / "pc_pairs_FDM.csv").is_file()
+
+    def test_skipped_svg_pipelines_are_warned_in_manifest_and_report(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(5, 5, 5, 5), n_points=15))
+        args = ["classify", "--data", str(data), "--n-points", "15", "--pipelines", "GM,FDM", "--classifiers", "lda", "--svg"]
+        full_fit = cli.run_pipeline
+
+        def failing_fdm_and_one_component_gm(pid, configs, settings):
+            if pid == "FDM":
+                raise ValueError("FDM: no variance")
+            output = full_fit(pid, configs, settings)
+            return dataclasses.replace(output, k95=1, scores=output.scores[:, :1])
+
+        monkeypatch.setattr(cli, "run_pipeline", failing_fdm_and_one_component_gm)
+        out = tmp_path / "o"
+        assert main(args + ["--out", str(out)]) == 0
+        warnings = [
+            "d/GM/svg: k95 = 1; a component pair needs at least 2 components",
+            "d/FDM/svg: FDM: no variance",
+        ]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == warnings
+        assert not list(out.glob("pc_pairs_*"))
+        assert "warnings:\n  " + "\n  ".join(warnings) in capsys.readouterr().err
+        assert main(["report", "--out", str(out)]) == 0
+        assert "\nwarnings:\n  " + "\n  ".join(warnings) + "\n" in capsys.readouterr().out
 
     def test_svg_survives_a_failed_first_task(self, tmp_path):
         # LDA fails on the 2-specimen class; the SVGs need only a refit per pipeline.

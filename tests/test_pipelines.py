@@ -10,7 +10,7 @@ from curvemorph.pipelines import (
     _GRID_CACHE_SIZE,
     _grid_cache,
     _preprocess,
-    _registration_basis_size,
+    _registration_srvfs,
     _smooth_stack,
     _smoothing_noise_covs,
     FittedPipeline,
@@ -22,11 +22,21 @@ from curvemorph.pipelines import (
     run_pipeline,
 )
 from curvemorph.simgen import SimConfig, generate_replicate
-from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf, soft_warp, to_srvf
+from curvemorph.srvf import SrvfCurve, estimate_warp, from_srvf
 
 import oracles
 from helpers import benchmark_helix_replicate, bitwise_equal, phase_family, score_rel, separated_mode_family
-from oracles import arclength_reparameterise, build_basis, curve_from_points, evaluate, resample_uniform, rotation_align_srvf, smooth, warp_action
+from oracles import (
+    arclength_reparameterise,
+    build_basis,
+    curve_from_points,
+    evaluate,
+    resample_uniform,
+    rotation_align_srvf,
+    smooth,
+    soft_warp,
+    warp_action,
+)
 
 
 class TestIdsAndSettings:
@@ -213,16 +223,15 @@ class TestTransformConsistency:
 def _align_one(self, pts: np.ndarray) -> np.ndarray:
     """Reference: the object-based alternation that two ``align_step`` calls replaced, for one specimen."""
     lam, alpha = self.chain.warp_penalty_and_blend(self.settings)
-    k_reg = _registration_basis_size(self.settings, pts.shape[0])
-    smoothed = _smooth_stack(pts[None], k_reg, self.grid)
-    q = SrvfCurve(self.grid.copy(), to_srvf(smoothed[0], self.grid))
+    q = SrvfCurve(self.grid.copy(), _registration_srvfs(pts[None], self.settings, self.grid)[0])
     # Two rotation/warp alternations; the second rotation sees
     # warp-corrected correspondence.
-    q_rot, _ = rotation_align_srvf(q, self.template)
-    warp = estimate_warp(self.template, q_rot, lam)
-    _, r = rotation_align_srvf(warp_action(q_rot, warp), self.template)
+    template = self.karcher.template
+    q_rot, _ = rotation_align_srvf(q, template)
+    warp = estimate_warp(template, q_rot, lam)
+    _, r = rotation_align_srvf(warp_action(q_rot, warp), template)
     q_rot = SrvfCurve(q_rot.params, q_rot.q @ r)
-    warp = estimate_warp(self.template, q_rot, lam)
+    warp = estimate_warp(template, q_rot, lam)
     if alpha < 1.0:
         warp = soft_warp(warp, alpha)
     aligned = warp_action(q_rot, warp)

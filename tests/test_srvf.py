@@ -17,17 +17,23 @@ from curvemorph.srvf import (
     KarcherResult,
     SrvfCurve,
     WarpingFunction,
+    align_step,
     estimate_warp,
     from_srvf,
-    identity_warp,
-    invert_warp,
     karcher_mean,
-    soft_warp,
     to_srvf,
 )
 
 from helpers import bitwise_equal
-from oracles import SampledCurve, elastic_distance_sq, rotation_align_srvf, warp_action
+from oracles import (
+    SampledCurve,
+    elastic_distance_sq,
+    identity_warp,
+    invert_warp,
+    rotation_align_srvf,
+    soft_warp,
+    warp_action,
+)
 
 
 def helix_curve(m, power=1.0):
@@ -178,16 +184,23 @@ class TestEstimateWarp:
         q_target, q_source = smooth_random_q(30, 1), smooth_random_q(30, 2)
         t = q_target.params
         # The identity returned as the DP warp scores exactly the identity's objective.
-        tied = WarpingFunction(t, t.copy())
+        tied = t.copy()
         with mock.patch.object(srvf, "_dp_warp", return_value=tied):
-            assert estimate_warp(q_target, q_source, 0.01) is tied
+            assert estimate_warp(q_target, q_source, 0.01).gamma is tied
 
     def test_identity_when_it_scores_strictly_better(self):
         q = smooth_random_q(30, 1)
-        worse = bump_warp(30)
+        worse = bump_warp(30).gamma
         with mock.patch.object(srvf, "_dp_warp", return_value=worse):
             warp = estimate_warp(q, q, 0.01)
-        assert warp is not worse and np.array_equal(warp.gamma, q.params)
+        assert warp.gamma is not worse and np.array_equal(warp.gamma, q.params)
+
+    @pytest.mark.parametrize("lam", [-1e-12, -0.5, float("nan")])
+    def test_negative_penalty_is_rejected_before_the_search(self, lam):
+        q = smooth_random_q(30, 1)
+        with mock.patch.object(srvf, "_dp_warp", side_effect=AssertionError("the warp search ran")):
+            with pytest.raises(ValueError, match="^lam must be >= 0$"):
+                estimate_warp(q, q, lam)
 
     @pytest.mark.parametrize("source_m", [30, 31])
     def test_curves_on_different_grids_are_rejected(self, source_m):
@@ -261,9 +274,9 @@ def _edge_costs(q_target: np.ndarray, q_source: np.ndarray, dt: float, lam: floa
     return costs
 
 
-def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFunction:
-    """Single-grid DP over the slope-constrained node lattice."""
-    m = q_target.n_samples
+def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> np.ndarray:
+    """(M,) warp values of the single-grid DP over the slope-constrained node lattice."""
+    m = q_target.params.shape[0]
     t = q_target.params
     dt = float(t[1] - t[0])
     costs = _edge_costs(q_target.q, q_source.q, dt, lam)
@@ -295,7 +308,7 @@ def _dp_warp(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFun
     path_j.reverse()
     gamma = np.interp(t, t[path_i], t[path_j])
     gamma[0], gamma[-1] = 0.0, 1.0
-    return WarpingFunction(t.copy(), gamma)
+    return gamma
 
 
 class TestStackedKernelsMatchLoopOracle:
@@ -324,7 +337,7 @@ class TestStackedKernelsMatchLoopOracle:
         path_i, path_j = srvf._dp_path(oracle)
         gamma = np.interp(t, t[path_i], t[path_j])
         gamma[0], gamma[-1] = 0.0, 1.0
-        assert np.array_equal(gamma, _dp_warp(q_target, q_source, lam).gamma)
+        assert np.array_equal(gamma, _dp_warp(q_target, q_source, lam))
 
         warp = estimate_warp(q_target, q_source, lam)
         with mock.patch.object(srvf, "_dp_warp", _dp_warp):
@@ -341,9 +354,9 @@ def _warp_values_np(t: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _estimate_warp_np(q_target: SrvfCurve, q_source: SrvfCurve, lam: float) -> WarpingFunction:
     """Reference: ``estimate_warp`` with its guard evaluating both objectives through numpy."""
-    m = q_target.n_samples
-    warp = srvf._dp_warp(q_target, q_source, lam)
+    m = q_target.params.shape[0]
     t = q_target.params
+    warp = WarpingFunction(t.copy(), srvf._dp_warp(q_target, q_source, lam))
 
     def objective(g: np.ndarray) -> float:
         gdot = np.gradient(g, t, edge_order=1)
@@ -395,8 +408,8 @@ class TestGuardAndWarpActionMatchNumpyOracle:
         dp = srvf._dp_warp(q_target, q_source, lam)
         g = {
             "identity": t.copy(),
-            "dp": dp.gamma,
-            "soft": soft_warp(dp, 0.6).gamma,
+            "dp": dp,
+            "soft": soft_warp(WarpingFunction(t.copy(), dp), 0.6).gamma,
             "nodes": node_path_warp(m, seed),
         }[kind]
         assert bitwise_equal(srvf._gradient(g, t), np.gradient(g, t, edge_order=1))
@@ -410,7 +423,7 @@ class TestGuardAndWarpActionMatchNumpyOracle:
             return estimate_warp(q_target, q_source, lam).gamma, _estimate_warp_np(q_target, q_source, lam).gamma
 
         assert bitwise_equal(*both())
-        with mock.patch.object(srvf, "_dp_warp", return_value=WarpingFunction(t, g)):
+        with mock.patch.object(srvf, "_dp_warp", return_value=g):
             assert bitwise_equal(*both())
 
     def test_uniform_branch_exactly_where_numpy_takes_it(self):
@@ -519,32 +532,58 @@ class TestEdgeCostGatherBuffers:
         assert peak - costs.nbytes < gather_bytes
 
 
+def blended_warp(warp: WarpingFunction, alpha: float) -> np.ndarray:
+    """The warp values ``align_step`` returns with blend ``alpha`` when the warp search finds ``warp``."""
+    m = warp.params.shape[0]
+    with mock.patch.object(srvf, "estimate_warp", return_value=warp):
+        _, _, gamma, _ = align_step(smooth_random_q(m, 1).q, smooth_random_q(m, 2), None, 0.0, alpha)
+    return gamma
+
+
 class TestSoftWarp:
+    """The soft blend alpha * gamma + (1 - alpha) * identity inside ``align_step``, and the range of alpha."""
+
     def test_alpha_zero_identity(self):
         gamma = power_warp(40, 1.4)
-        out = soft_warp(gamma, 0.0)
-        assert np.allclose(out.gamma, out.params, atol=0)
+        out = blended_warp(gamma, 0.0)
+        assert np.allclose(out, gamma.params, atol=0)
 
     def test_alpha_one_unchanged(self):
         gamma = power_warp(40, 1.4)
-        assert np.array_equal(soft_warp(gamma, 1.0).gamma, gamma.gamma)
+        assert np.array_equal(blended_warp(gamma, 1.0), gamma.gamma)
 
     def test_hand_value(self):
         t = uniform_params(5)  # includes t = 0.5
         gamma = WarpingFunction(t, t**2)
-        out = soft_warp(gamma, 0.6)
-        assert out.gamma[2] == pytest.approx(0.35, abs=1e-12)
+        out = blended_warp(gamma, 0.6)
+        assert out[2] == pytest.approx(0.35, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.3, max_value=3.0))
     @settings(max_examples=50)
     def test_output_always_valid(self, alpha, u):
-        out = soft_warp(power_warp(30, u), alpha)
-        assert out.gamma[0] == 0.0 and out.gamma[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(out.gamma) >= 1e-12)
+        out = blended_warp(power_warp(30, u), alpha)
+        assert out[0] == 0.0 and out[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(out) >= 1e-12)
 
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            soft_warp(identity_warp(10), 1.5)
+    @pytest.mark.parametrize("alpha", [1.5, 1.0 + 1e-12, -0.5, float("nan")])
+    def test_alpha_out_of_range(self, alpha):
+        qs = [smooth_random_q(10, seed=i) for i in range(3)]
+        with mock.patch.object(srvf, "estimate_warp", side_effect=AssertionError("a warp search ran")):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]$"):
+                karcher_mean(qs, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("near", [False, True])
+    def test_blend_is_bitwise_the_oracle_soft_warp(self, alpha, near):
+        template = smooth_random_q(30, 3)
+        # A nearby curve makes the search return the identity, a far one the DP warp.
+        q = template.q + 1e-3 * np.random.default_rng(4).normal(size=(30, 3)) if near else smooth_random_q(30, 5).q
+        rotated, action, gamma, _ = align_step(q, template, None, 0.01, alpha)
+        warp = estimate_warp(template, SrvfCurve(template.params, rotated), 0.01)
+        assert np.array_equal(warp.gamma, warp.params) == near
+        expected = soft_warp(warp, alpha)
+        assert bitwise_equal(gamma, expected.gamma)
+        assert bitwise_equal(action, warp_action(SrvfCurve(template.params, rotated), expected).q)
 
 
 class TestRotationAlign:
@@ -600,7 +639,15 @@ class TestKarcherMean:
     def test_returns_warps_and_rotations(self):
         qs = [smooth_random_q(40, seed=70 + i) for i in range(3)]
         result = karcher_mean(qs, max_iter=3)
-        assert len(result.aligned) == len(result.warps) == len(result.rotations) == 3
+        assert len(result.aligned) == 3
+        assert result.warps.shape == (3, 40) and result.rotations.shape == (3, 3, 3)
+
+    @pytest.mark.parametrize("lam", [-1e-12, -0.01, float("nan")])
+    def test_negative_penalty_is_rejected_before_any_warp_search(self, lam):
+        qs = [smooth_random_q(10, seed=i) for i in range(3)]
+        with mock.patch.object(srvf, "estimate_warp", side_effect=AssertionError("a warp search ran")):
+            with pytest.raises(ValueError, match="^lam must be >= 0$"):
+                karcher_mean(qs, lam=lam, alpha=0.6)
 
     def test_stopping_rule_is_scale_free(self):
         # Scaling a curve by 4^k scales its SRVF by 2^k and every variance by
@@ -614,7 +661,7 @@ class TestKarcherMean:
         for result in results:
             assert (result.iterations, result.converged) == (base.iterations, base.converged)
             for got, expected in zip(result.warps, base.warps):
-                assert np.max(np.abs(got.gamma - expected.gamma)) <= 1e-12
+                assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_stopping_rule(self):
         t, curves = phase_varied_curves(seed=5)
@@ -653,8 +700,8 @@ def _karcher_mean_loop(
     """Reference: the per-specimen object loop that ``align_step`` replaced."""
     if len(qs) < 2:
         raise ValueError("karcher_mean needs at least 2 curves")
-    m = qs[0].n_samples
-    if any(q.n_samples != m for q in qs):
+    m = qs[0].params.shape[0]
+    if any(q.params.shape[0] != m for q in qs):
         raise ValueError("SRVFs must share a grid")
     t = qs[0].params
 
@@ -728,11 +775,12 @@ class TestKarcherMatchesObjectLoopOracle:
             expected = _karcher_mean_loop(qs, lam=lam, alpha=alpha)
             assert np.array_equal(result.template.params, expected.template.params)
             assert np.array_equal(result.template.q, expected.template.q)
-            assert len(result.aligned) == len(result.warps) == len(result.rotations) == k
+            assert len(result.aligned) == len(expected.aligned) == k
+            assert result.warps.shape == (k, m) and result.rotations.shape == (k, 3, 3)
             for a, b in zip(result.aligned, expected.aligned):
                 assert np.array_equal(a.params, b.params) and np.array_equal(a.q, b.q)
             for a, b in zip(result.warps, expected.warps):
-                assert np.array_equal(a.params, b.params) and np.array_equal(a.gamma, b.gamma)
+                assert np.array_equal(result.template.params, b.params) and np.array_equal(a, b.gamma)
             for a, b in zip(result.rotations, expected.rotations):
                 assert np.array_equal(a, b)
             assert result.iterations == expected.iterations
