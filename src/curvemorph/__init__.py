@@ -12,8 +12,8 @@ validation, plus a seeded helix simulation harness, round out the toolkit.
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation, superimpose
 from curvemorph.curvetools import derivative, reparameterise_arclength, resample_uniform
 from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, to_srvf
-from curvemorph.fpca import MfpcaModel, UnivariateFpcaModel, mfpca, mfpca_fit, mfpca_project, select_components, ufpca
-from curvemorph.pca import PcaModel, pca_fit, pca_reconstruct
+from curvemorph.fpca import ComponentModel, UnivariateFpcaModel, mfpca, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components, ufpca
+from curvemorph.pca import pca_fit
 from curvemorph.pipelines import PIPELINE_IDS, PipelineOutput, PipelineSettings, evaluate_mse, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate, group_curve
 from curvemorph.classify import CvReport, cross_validate, stratified_kfold
@@ -36,16 +36,15 @@ __all__ = [
     "from_srvf",
     "estimate_warp",
     "karcher_mean",
+    "ComponentModel",
     "UnivariateFpcaModel",
-    "MfpcaModel",
     "ufpca",
     "mfpca",
     "mfpca_fit",
     "mfpca_project",
+    "mfpca_reconstruct",
     "select_components",
-    "PcaModel",
     "pca_fit",
-    "pca_reconstruct",
     "PipelineSettings",
     "PipelineOutput",
     "PIPELINE_IDS",

@@ -364,6 +364,19 @@ def fit_predict(classifier: str, train_x, train_y, test_x) -> tuple[np.ndarray, 
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
+def check_labels(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and their counts, once stratified folds can hold the labels: 2 classes or more, each of 2 specimens or more."""
+    if any(lbl is None for lbl in labels):
+        raise ValueError("all specimens need labels for cross validation")
+    classes, counts = np.unique(labels, return_counts=True)
+    if classes.size < 2:
+        raise ValueError("all specimens share one label; cross validation needs at least 2 classes")
+    lone = ", ".join(f"label {str(label)!r} has 1 specimen" for label in classes[counts < 2])
+    if lone:
+        raise ValueError(f"{lone}; cross validation needs at least 2 specimens per class")
+    return classes, counts
+
+
 def cross_validate(
     configs: list[LandmarkConfiguration],
     pipeline_id: str,
@@ -374,13 +387,7 @@ def cross_validate(
     """Stratified ``N_FOLDS``-fold CV with the full pipeline refit on every training fold."""
     classifier = canonical_classifier(classifier)
     labels = np.array([c.label for c in configs])
-    if any(lbl is None for lbl in labels):
-        raise ValueError("all specimens need labels for cross validation")
-    classes, counts = np.unique(labels, return_counts=True)
-    if classes.size < 2:
-        raise ValueError("cross validation needs at least 2 classes")
-    if counts.min() < 2:
-        raise ValueError(f"label {str(classes[counts.argmin()])!r} has 1 specimen; cross validation needs at least 2 per class")
+    classes, counts = check_labels(labels)
     folds = stratified_kfold(labels, seed=seed)
     if classifier == "lda":
         # LDA needs 2 training rows of every class in every fold: check the folds before any fit

@@ -16,14 +16,13 @@ import csv
 import glob
 import json
 import sys
-from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from curvemorph import __version__
-from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, canonical_classifier, cross_validate, fit_predict, stratified_kfold
+from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, canonical_classifier, check_labels, cross_validate, fit_predict, stratified_kfold
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, canonical_pipeline_id, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
@@ -492,12 +491,10 @@ def cmd_classify(args) -> int:
     for rep_name, configs in replicates:
         if any(c.label is None for c in configs):
             raise InputError(f"{rep_name}: specimens without labels; provide --labels")
-        counts = Counter(c.label for c in configs)
-        if len(counts) < 2:
-            raise InputError(f"{rep_name}: all specimens share one label; classification needs at least 2 classes")
-        lone = ", ".join(f"label {label!r} has 1 specimen" for label, n in counts.items() if n < 2)
-        if lone:
-            raise InputError(f"{rep_name}: {lone}; cross validation needs at least 2 specimens per class")
+        try:
+            check_labels(np.array([c.label for c in configs]))
+        except ValueError as exc:
+            raise InputError(f"{rep_name}: {exc}") from exc
     out = _out_dir(values)
 
     tasks = [(rep, pid, clf) for rep, _ in replicates for pid in pipelines for clf in classifiers]

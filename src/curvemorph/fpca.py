@@ -3,7 +3,9 @@
 The multivariate estimator follows the score-matrix route: univariate FPCA
 per coordinate, concatenated scores Xi, eigen-decomposition of
 Z = Xi' Xi / (n - 1), and multivariate eigenfunctions assembled as linear
-combinations of the univariate ones.
+combinations of the univariate ones.  Its ``ComponentModel`` is also what
+``pca.pca_fit`` returns, so ``mfpca_project`` and ``mfpca_reconstruct``
+serve both decompositions.
 """
 
 from __future__ import annotations
@@ -43,18 +45,20 @@ class UnivariateFpcaModel:
 
 
 @dataclass
-class MfpcaModel:
-    """Multivariate FPCA built from three per-coordinate univariate models."""
+class ComponentModel:
+    """A fitted principal-component model of (M, 3) curves or configurations.
 
-    univariate: list[UnivariateFpcaModel]
-    eigenvalues: np.ndarray  # (J_out,)
-    eigvecs: np.ndarray  # (J, J_out)
-    eigenfunctions: list[np.ndarray]  # per coordinate, (J_out, M)
-    scores: np.ndarray  # (n, J_out)
+    The J basis elements are orthonormal under the quadrature ``weights``:
+    the sum over m and p of weights[m] * basis[i, m, p] * basis[j, m, p] is 1
+    for i = j and 0 otherwise.  MFPCA models carry the trapezoid weights of
+    their grid, PCA models unit weights on their N landmarks.
+    """
 
-    @property
-    def mean_functions(self) -> np.ndarray:
-        return np.stack([u.mean_fn for u in self.univariate], axis=1)  # (M, 3)
+    mean: np.ndarray  # (M, 3)
+    basis: np.ndarray  # (J, M, 3)
+    weights: np.ndarray  # (M,)
+    eigenvalues: np.ndarray  # (J,)
+    scores: np.ndarray  # (n, J)
 
 
 def ufpca(
@@ -72,11 +76,14 @@ def ufpca(
     inner products against the eigenfunctions.
 
     ``noise_cov`` is an optional measurement-error covariance subtracted from
-    the empirical covariance before the decomposition, so the spectrum
-    reflects signal rather than noise (scores are still projections of the
-    observed curves).  ``pve`` truncates the retained components at the
-    smallest count reaching that fraction of (noise-corrected) variance,
-    never exceeding ``j_p``.
+    the empirical covariance before the decomposition, so this coordinate's
+    eigenvalues reflect signal rather than noise (scores are still
+    projections of the observed curves).  ``pve`` truncates the retained
+    components at the smallest count reaching that fraction of
+    (noise-corrected) variance, never exceeding ``j_p``.  ``mfpca`` takes its
+    spectrum from the covariance of these scores, so the correction reaches
+    the multivariate spectrum only through which components the ``pve`` cut
+    keeps.
     """
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -110,8 +117,12 @@ def ufpca(
     return UnivariateFpcaModel(grid=grid, mean_fn=mean_fn, eigenfunctions=phi, eigenvalues=evals, scores=scores)
 
 
-def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaModel:
-    """Combine per-coordinate univariate models into a multivariate decomposition."""
+def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> ComponentModel:
+    """Combine per-coordinate univariate models into a multivariate decomposition.
+
+    The model's mean stacks the coordinates' mean functions, and its basis the
+    multivariate eigenfunctions, orthonormal under the grid's trapezoid weights.
+    """
     if len(models) != 3:
         raise ValueError("expected one univariate model per coordinate")
     n = models[0].scores.shape[0]
@@ -133,23 +144,24 @@ def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaM
 
     # each coordinate's (J_p, J_out) block of vecs combines its eigenfunctions into (J_out, M)
     blocks = np.split(vecs, np.cumsum(j_blocks)[:-1])
-    eigenfunctions = [block.T @ u.eigenfunctions for u, block in zip(models, blocks)]
-    scores = xi @ vecs
-    return MfpcaModel(
-        univariate=list(models),
+    return ComponentModel(
+        mean=np.stack([u.mean_fn for u in models], axis=1),
+        basis=np.stack([block.T @ u.eigenfunctions for u, block in zip(models, blocks)], axis=-1),
+        weights=trapezoid_weights(models[0].grid),
         eigenvalues=evals,
-        eigvecs=vecs,
-        eigenfunctions=eigenfunctions,
-        scores=scores,
+        scores=xi @ vecs,
     )
 
 
 def mfpca_fit(
     values: np.ndarray, grid: np.ndarray, m_target: int, noise_covs: np.ndarray | None = None, pve: float | None = None
-) -> MfpcaModel:
+) -> ComponentModel:
     """MFPCA of an (n, M, 3) stack: ``ufpca`` of each coordinate (its (M, M) ``noise_covs`` row, ``pve``), then ``mfpca``.
 
     Each coordinate keeps at most min(n - 1, M, m_target) components, and the whole model at most ``m_target``.
+    The noise covariances change the multivariate spectrum only through which
+    components the ``pve`` cut keeps in each coordinate; without a cut the
+    spectrum is the plain one.
     """
     n, m, _ = values.shape
     j_p = min(n - 1, m, m_target)
@@ -161,32 +173,29 @@ def mfpca_fit(
     return mfpca(models, j_out=min(m_target, j_total))
 
 
-def mfpca_project(model: MfpcaModel, new_samples: np.ndarray) -> np.ndarray:
-    """Scores of an (n, M, 3) stack of held-out curves against a fitted model.
+def mfpca_project(model: ComponentModel, new_samples: np.ndarray) -> np.ndarray:
+    """Scores of an (n, M, 3) stack of held-out curves or configurations against a fitted model.
 
-    Each coordinate is centered by its training mean and projected through
-    its training eigenfunctions.
+    Each centered specimen's weighted inner product with every basis element.
     """
     new_samples = np.asarray(new_samples, dtype=float)
-    if new_samples.shape[1:] != model.mean_functions.shape:
+    if new_samples.shape[1:] != model.mean.shape:
         raise ValueError("grid mismatch with the fitted model")
-    xi_blocks = []
-    for p, u in enumerate(model.univariate):
-        w = trapezoid_weights(u.grid)
-        xi_blocks.append((new_samples[:, :, p] - u.mean_fn) @ (w[None, :] * u.eigenfunctions).T)
-    xi = np.concatenate(xi_blocks, axis=1)
-    return xi @ model.eigvecs
+    weighted = (model.basis * model.weights[:, None]).reshape(-1, model.mean.size)
+    return (new_samples - model.mean).reshape(-1, model.mean.size) @ weighted.T
 
 
-def mfpca_reconstruct(model: MfpcaModel, scores: np.ndarray, k: int) -> np.ndarray:
-    """Truncated Karhunen-Loeve curves: mean + sum of k leading score-weighted eigenfunctions.
+def mfpca_reconstruct(model: ComponentModel, scores: np.ndarray, k: int) -> np.ndarray:
+    """Truncated expansions: the mean plus the k leading score-weighted basis elements.
 
-    (..., K) scores give (..., M, 3) curves.
+    (..., K) scores give (..., M, 3) curves or configurations.
     """
     scores = np.asarray(scores, dtype=float)
     if not 0 <= k <= model.eigenvalues.shape[0]:
         raise ValueError("component count out of range")
-    return model.mean_functions + np.stack([scores[..., :k] @ f[:k] for f in model.eigenfunctions], axis=-1)
+    # (k, mean.size), not (k, -1): a reshape of zero rows cannot infer its width
+    flat = scores[..., :k] @ model.basis[:k].reshape(k, model.mean.size)
+    return model.mean + flat.reshape(*flat.shape[:-1], *model.mean.shape)
 
 
 def select_components(eigenvalues: np.ndarray, threshold: float = 0.95) -> int:

@@ -24,9 +24,9 @@ import numpy as np
 
 from curvemorph.basis import design_matrix, fit_coefficients
 from curvemorph.curvetools import DegenerateCurveError, reparameterise_arclength, resample_uniform, uniform_params
-from curvemorph.fpca import MfpcaModel, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components
+from curvemorph.fpca import ComponentModel, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components
 from curvemorph.landmarks import LandmarkConfiguration, ZeroCentroidSizeError, align_to_reference, center, gpa, superimpose
-from curvemorph.pca import PcaModel, pca_fit, pca_project, pca_reconstruct
+from curvemorph.pca import pca_fit
 from curvemorph.srvf import KarcherResult, SrvfCurve, align_step, from_srvf, karcher_mean, to_srvf
 
 
@@ -120,10 +120,10 @@ def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray) -> np.ndarray
     return np.mean((original - reconstruction) ** 2, axis=(-2, -1))
 
 
-def _select_k95(pipeline_id: str, eigenvalues: np.ndarray, values: np.ndarray, threshold: float) -> int:
+def _select_k95(eigenvalues: np.ndarray, values: np.ndarray, threshold: float) -> int:
     """Components reaching the variance threshold, after checking the spectrum carries variance."""
     if float(np.sum(eigenvalues)) <= 1e-20 * max(1.0, float(np.mean(values**2))):
-        raise ValueError(f"{pipeline_id}: no variance")
+        raise ValueError("no variance")
     return select_components(eigenvalues, threshold)
 
 
@@ -225,10 +225,10 @@ class FittedPipeline:
     chain: Chain
     settings: PipelineSettings
     grid: np.ndarray
-    model: PcaModel | MfpcaModel
+    model: ComponentModel
     eigenvalues: np.ndarray  # retained spectrum used for component selection
     k95: int
-    recon_model: PcaModel | MfpcaModel
+    recon_model: ComponentModel
     recon_k95: int
     targets: np.ndarray  # (n, N, 3) what each reconstruction is superimposed on and scored against
     consensus: np.ndarray | None = None  # GPA consensus (GM and elastic chains)
@@ -256,11 +256,11 @@ class FittedPipeline:
         pts = _preprocess(configs, self.settings, self.chain.arc)
         if self.consensus is not None:
             pts = _naming_specimens(align_to_reference, configs, pts, self.consensus)
-        if self.chain.backbone == "gm":
-            return pca_project(self.model, pts)[:, : self.k95]
         if self.chain.backbone == "elastic":
             pts = self._align_amplitude(pts)
-        return mfpca_project(self.model, _smooth_stack(pts, self.settings.n_basis, self.grid))[:, : self.k95]
+        if self.chain.backbone != "gm":
+            pts = _smooth_stack(pts, self.settings.n_basis, self.grid)
+        return mfpca_project(self.model, pts)[:, : self.k95]
 
     def reconstruct(self, k: int | None = None) -> np.ndarray:
         """(n, N, 3) rank-k reconstructions of the training specimens, each superimposed on its target."""
@@ -268,9 +268,7 @@ class FittedPipeline:
         # Each score row as a (1, K) matrix keeps every product the
         # vector-matrix product of one specimen; one (n, K) product adds up
         # in another order and moves the last bits.
-        rows = self.recon_model.scores[:, None]
-        reconstruct_rows = pca_reconstruct if self.chain.backbone == "gm" else mfpca_reconstruct
-        recon = reconstruct_rows(self.recon_model, rows, k)[:, 0]
+        recon = mfpca_reconstruct(self.recon_model, self.recon_model.scores[:, None], k)[:, 0]
         if self.chain.backbone == "elastic":
             recon = center(from_srvf(recon, self.grid)) * self.sizes[:, None, None]
         return superimpose(recon, self.targets)
@@ -300,20 +298,21 @@ def _fit(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], s
 
     if chain.backbone == "gm":
         model = pca_fit(pts)
-        eigenvalues = model.eigenvalues[: min(settings.m_target, model.k_max)]
     else:
         noise_covs = pve = None
         if chain.backbone == "fdm":
-            # The univariate step both corrects the spectrum for smoothing-propagated
-            # measurement noise and downgrades the retained components by the same
-            # cumulative-variance rule used everywhere else.  Amplitude and SRVF
-            # functions carry transformed (non-i.i.d.) noise, so the elastic
-            # chains' spectra use the plain estimator.
+            # The univariate step corrects each coordinate's eigenvalues for
+            # smoothing-propagated measurement noise and cuts its components at
+            # the cumulative-variance rule used everywhere else.  The
+            # multivariate spectrum comes from the raw univariate scores, so the
+            # correction reaches it only through which components each
+            # coordinate keeps.  Amplitude and SRVF functions carry transformed
+            # (non-i.i.d.) noise, so the elastic chains use the plain estimator.
             noise_covs, pve = _smoothing_noise_covs(pts, settings.n_basis, grid), settings.variance_threshold
         pts = _smooth_stack(pts, settings.n_basis, grid)
         model = mfpca_fit(pts, grid, settings.m_target, noise_covs, pve)
-        eigenvalues = model.eigenvalues
-    k95 = _select_k95(pipeline_id, eigenvalues, pts, settings.variance_threshold)
+    eigenvalues = model.eigenvalues[: settings.m_target]
+    k95 = _select_k95(eigenvalues, pts, settings.variance_threshold)
 
     recon_model, recon_k95 = model, k95
     if chain.backbone == "fdm":
@@ -324,7 +323,7 @@ def _fit(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], s
         # same smoothed aligned amplitudes the representation uses.
         q_stack = to_srvf(pts, grid)
         recon_model = mfpca_fit(q_stack, grid, settings.m_target)
-        recon_k95 = _select_k95(pipeline_id, recon_model.eigenvalues, q_stack, settings.variance_threshold)
+        recon_k95 = _select_k95(recon_model.eigenvalues, q_stack, settings.variance_threshold)
         targets = pts * sizes[:, None, None]
     return FittedPipeline(
         pipeline_id, chain, settings, grid, model, eigenvalues, k95, recon_model, recon_k95, targets, consensus, sizes, registration
@@ -335,17 +334,11 @@ def fit_pipeline(pipeline_id: str, configs: list[LandmarkConfiguration], setting
     pipeline_id = canonical_pipeline_id(pipeline_id)
     settings = settings or PipelineSettings()
     if len(configs) < 4:
-        raise ValueError(f"{pipeline_id}: need at least 4 specimens")
+        raise ValueError("need at least 4 specimens")
     n_landmarks = configs[0].n_landmarks
     if any(c.n_landmarks != n_landmarks for c in configs):
-        raise ValueError(f"{pipeline_id}: landmark counts differ across specimens")
-
-    try:
-        return _fit(pipeline_id, CHAINS[pipeline_id], configs, settings)
-    except ValueError as exc:
-        if str(exc).startswith(pipeline_id):
-            raise
-        raise ValueError(f"{pipeline_id}: {exc}") from exc
+        raise ValueError("landmark counts differ across specimens")
+    return _fit(pipeline_id, CHAINS[pipeline_id], configs, settings)
 
 
 def run_pipeline(

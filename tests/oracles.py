@@ -4,8 +4,8 @@ Per-curve resampling, arc-length reparameterisation, smoothing and SRVF
 operations on wrapper objects, built on the kernels of
 ``curvemorph.basis`` and ``curvemorph.srvf``, the B-spline basis object
 that takes its design matrix from scipy, and the per-configuration
-Procrustes algebra, GPA, one-row PCA reconstruction and per-specimen
-reconstruction of a fitted pipeline.  The pipelines run the same
+Procrustes algebra, GPA and per-specimen reconstruction of a fitted
+pipeline.  The pipelines run the same
 arithmetic on stacked arrays (``curvetools.resample_uniform`` and
 ``curvetools.reparameterise_arclength`` on (K, N, 3) stacks,
 the cached smoothing maps built from ``fit_coefficients`` (equal to the
@@ -19,6 +19,9 @@ are the oracles of the (M,) warp arrays that ``srvf.align_step`` and
 ``srvf.karcher_mean`` pass around.  The classifiers' former solvers, the dual
 coordinate sweep of the linear SVM and the gradient ascent of the
 multinomial fit, serve as oracles of the active-set and Newton solvers.
+The former PCA and MFPCA models, with their own projection and
+reconstruction (per coordinate for MFPCA), are the oracles of the one
+flattened projection and reconstruction of ``fpca.ComponentModel``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from scipy.interpolate import BSpline
 from curvemorph.basis import ORDER, fit_coefficients
 from curvemorph.classify import MultinomialModel, multinomial_gradient, multinomial_objective
 from curvemorph.curvetools import uniform_params
-from curvemorph.fpca import mfpca_reconstruct
+from curvemorph import fpca
+from curvemorph.fpca import ComponentModel, UnivariateFpcaModel, fix_signs, trapezoid_weights
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, _canonical_frame
-from curvemorph.pca import PcaModel
 from curvemorph.srvf import SrvfCurve, WarpingFunction, _l2_norm_sq, _rotation, _warp_values, from_srvf
 
 
@@ -335,25 +338,119 @@ def superimpose(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     return beta * src_c @ r + target.mean(axis=0)
 
 
-def pca_reconstruct(model: PcaModel, scores_row: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-k approximation added back to the mean, reshaped to N x 3.
+@dataclass
+class PcaModel:
+    mean_vector: np.ndarray  # (3N,)
+    loadings: np.ndarray  # (k_max, 3N), orthonormal rows
+    eigenvalues: np.ndarray  # (k_max,)
+    scores: np.ndarray  # (n, k_max)
 
-    Returns (reconstruction, consensus) where consensus is the mean shape.
-    """
-    scores_row = np.asarray(scores_row, dtype=float).ravel()
+    @property
+    def k_max(self) -> int:
+        return self.loadings.shape[0]
+
+
+def pca_model(model: ComponentModel) -> PcaModel:
+    """The former PCA model of a unit-weight ``ComponentModel``: the same numbers, each configuration flattened landmark-major."""
+    return PcaModel(model.mean.ravel(), model.basis.reshape(len(model.basis), model.mean.size), model.eigenvalues, model.scores)
+
+
+def pca_project(model: PcaModel, points: np.ndarray) -> np.ndarray:
+    """Scores of an (n, N, 3) stack of held-out configurations."""
+    points = np.asarray(points, dtype=float)
+    return (points.reshape(points.shape[0], -1) - model.mean_vector) @ model.loadings.T
+
+
+def pca_reconstruct(model: PcaModel, scores: np.ndarray, k: int) -> np.ndarray:
+    """Rank-k approximations added back to the mean: (..., K) scores give (..., N, 3) configurations."""
+    scores = np.asarray(scores, dtype=float)
     if not 0 <= k <= model.k_max:
         raise ValueError("component count out of range")
-    vec = model.mean_vector + scores_row[:k] @ model.loadings[:k]
-    return vec.reshape(-1, 3), model.mean_vector.reshape(-1, 3)
+    vec = model.mean_vector + scores[..., :k] @ model.loadings[:k]
+    return vec.reshape(*vec.shape[:-1], -1, 3)
+
+
+@dataclass
+class MfpcaModel:
+    """Multivariate FPCA built from three per-coordinate univariate models."""
+
+    univariate: list[UnivariateFpcaModel]
+    eigenvalues: np.ndarray  # (J_out,)
+    eigvecs: np.ndarray  # (J, J_out)
+    eigenfunctions: list[np.ndarray]  # per coordinate, (J_out, M)
+    scores: np.ndarray  # (n, J_out)
+
+    @property
+    def mean_functions(self) -> np.ndarray:
+        return np.stack([u.mean_fn for u in self.univariate], axis=1)  # (M, 3)
+
+
+def mfpca_model(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaModel:
+    """The former ``fpca.mfpca``: the same decomposition, kept per coordinate with its univariate models."""
+    if len(models) != 3:
+        raise ValueError("expected one univariate model per coordinate")
+    n = models[0].scores.shape[0]
+    if any(u.scores.shape[0] != n for u in models):
+        raise ValueError("univariate models disagree on sample count")
+    j_blocks = [u.scores.shape[1] for u in models]
+    j_total = sum(j_blocks)
+    if j_out is None:
+        j_out = j_total
+    if not 1 <= j_out <= j_total:
+        raise ValueError("j_out must lie in [1, sum of univariate components]")
+
+    xi = np.concatenate([u.scores for u in models], axis=1)  # (n, J)
+    z_hat = xi.T @ xi / (n - 1)
+    evals, evecs = np.linalg.eigh(z_hat)
+    order = np.argsort(evals)[::-1][:j_out]
+    evals = np.clip(evals[order], 0.0, None)
+    vecs = fix_signs(evecs[:, order])  # (J, J_out)
+
+    # each coordinate's (J_p, J_out) block of vecs combines its eigenfunctions into (J_out, M)
+    blocks = np.split(vecs, np.cumsum(j_blocks)[:-1])
+    eigenfunctions = [block.T @ u.eigenfunctions for u, block in zip(models, blocks)]
+    scores = xi @ vecs
+    return MfpcaModel(
+        univariate=list(models),
+        eigenvalues=evals,
+        eigvecs=vecs,
+        eigenfunctions=eigenfunctions,
+        scores=scores,
+    )
+
+
+def mfpca_project(model: MfpcaModel, new_samples: np.ndarray) -> np.ndarray:
+    """Scores of an (n, M, 3) stack of held-out curves against a fitted model.
+
+    Each coordinate is centered by its training mean and projected through
+    its training eigenfunctions.
+    """
+    new_samples = np.asarray(new_samples, dtype=float)
+    if new_samples.shape[1:] != model.mean_functions.shape:
+        raise ValueError("grid mismatch with the fitted model")
+    xi_blocks = []
+    for p, u in enumerate(model.univariate):
+        w = trapezoid_weights(u.grid)
+        xi_blocks.append((new_samples[:, :, p] - u.mean_fn) @ (w[None, :] * u.eigenfunctions).T)
+    xi = np.concatenate(xi_blocks, axis=1)
+    return xi @ model.eigvecs
+
+
+def mfpca_reconstruct(model: MfpcaModel, scores: np.ndarray, k: int) -> np.ndarray:
+    """Truncated Karhunen-Loeve curves: mean + sum of k leading score-weighted eigenfunctions.
+
+    (..., K) scores give (..., M, 3) curves.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if not 0 <= k <= model.eigenvalues.shape[0]:
+        raise ValueError("component count out of range")
+    return model.mean_functions + np.stack([scores[..., :k] @ f[:k] for f in model.eigenfunctions], axis=-1)
 
 
 def reconstruct(self, index: int, k: int | None = None) -> np.ndarray:
     """Rank-k reconstruction of training specimen ``index`` of a fitted pipeline, superimposed on its target."""
     k = self.recon_k95 if k is None else k
-    if self.chain.backbone == "gm":
-        recon, _ = pca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
-    else:
-        recon = mfpca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
+    recon = fpca.mfpca_reconstruct(self.recon_model, self.recon_model.scores[index], k)
     if self.chain.backbone == "elastic":
         recon = center(from_srvf(recon, self.grid)) * self.sizes[index]
     return superimpose(recon, self.targets[index])

@@ -201,7 +201,7 @@ class TestCriterion5Properties:
         k = model.eigenvalues.shape[0]
         gram = np.zeros((k, k))
         for p in range(3):
-            gram += (model.eigenfunctions[p] * w) @ model.eigenfunctions[p].T
+            gram += (model.basis[..., p] * w) @ model.basis[..., p].T
         ortho = float(np.max(np.abs(gram - np.eye(k))))
         cov = model.scores.T @ model.scores / (40 - 1)
         score_cov = float(np.max(np.abs(cov - np.diag(model.eigenvalues))))

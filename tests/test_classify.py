@@ -469,7 +469,7 @@ class TestCrossValidate:
 
     def test_one_class_is_rejected(self):
         configs = [LandmarkConfiguration(c.specimen_id, c.points, "A") for c in simulated_configs()]
-        with pytest.raises(ValueError, match="at least 2 classes"):
+        with pytest.raises(ValueError, match="^all specimens share one label; cross validation needs at least 2 classes$"):
             cross_validate(configs, "GM", "svm")
 
     def test_two_specimen_class_is_rejected_for_lda_before_any_fit(self, monkeypatch):
@@ -496,7 +496,11 @@ class TestCrossValidate:
 
     def test_one_specimen_class_is_rejected(self):
         configs = [LandmarkConfiguration(c.specimen_id, c.points, "B" if i == 4 else "A") for i, c in enumerate(simulated_configs())]
-        with pytest.raises(ValueError, match="^label 'B' has 1 specimen; cross validation needs at least 2 per class$"):
+        with pytest.raises(ValueError, match="^label 'B' has 1 specimen; cross validation needs at least 2 specimens per class$"):
+            cross_validate(configs, "GM", "svm")
+        configs[9] = LandmarkConfiguration(configs[9].specimen_id, configs[9].points, "C")
+        message = "^label 'B' has 1 specimen, label 'C' has 1 specimen; cross validation needs at least 2 specimens per class$"
+        with pytest.raises(ValueError, match=message):
             cross_validate(configs, "GM", "svm")
 
 

@@ -109,8 +109,8 @@ class TestExitTail:
         write_dataset(data / "b.csv", small_dataset(seed=2, n_points=10))
         out = tmp_path / "o"
         assert main(["run", "--data", str(data), "--out", str(out), "--pipelines", "GM"]) == 4
-        assert capsys.readouterr().err == "partial failure:\n  a/GM: GM: need at least 4 specimens\n"
-        assert json.loads((out / "manifest.json").read_text())["failures"] == ["a/GM: GM: need at least 4 specimens"]
+        assert capsys.readouterr().err == "partial failure:\n  a/GM: need at least 4 specimens\n"
+        assert json.loads((out / "manifest.json").read_text())["failures"] == ["a/GM: need at least 4 specimens"]
 
 
 class TestSimulate:
@@ -433,7 +433,7 @@ class TestDegenerateCurve:
         args = ["run", "--data", f"{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}", "--out", str(out), "--pipelines", "ArcGM,GM"]
         assert main(args) == 4
         failures = json.loads((out / "manifest.json").read_text())["failures"]
-        assert failures == [f"a/ArcGM: ArcGM: degenerate curve: specimen {bad.specimen_id}", f"a/GM: GM: zero centroid size: specimen {bad.specimen_id}"]
+        assert failures == [f"a/ArcGM: degenerate curve: specimen {bad.specimen_id}", f"a/GM: zero centroid size: specimen {bad.specimen_id}"]
         assert capsys.readouterr().err == "partial failure:\n  " + "\n  ".join(failures) + "\n"
         with open(out / "mse.csv") as fh:
             assert [r["pipeline"] for r in csv.DictReader(fh)] == ["ArcGM", "GM"]
@@ -545,7 +545,7 @@ class TestClassify:
         write_dataset(data, configs)
         out = tmp_path / "o"
         assert main(["classify", "--data", str(data), "--out", str(out), "--pipelines", "GM,FDM"]) == 2
-        assert "d: all specimens share one label" in capsys.readouterr().err
+        assert "d: all specimens share one label; cross validation needs at least 2 classes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_specimen_class_is_an_input_error(self, tmp_path, capsys):
@@ -581,7 +581,7 @@ class TestClassify:
 
         def failing_fdm_and_one_component_gm(pid, configs, settings):
             if pid == "FDM":
-                raise ValueError("FDM: no variance")
+                raise ValueError("no variance")
             output = full_fit(pid, configs, settings)
             return dataclasses.replace(output, k95=1, scores=output.scores[:, :1])
 
@@ -590,7 +590,7 @@ class TestClassify:
         assert main(args + ["--out", str(out)]) == 0
         warnings = [
             "d/GM/svg: k95 = 1; a component pair needs at least 2 components",
-            "d/FDM/svg: FDM: no variance",
+            "d/FDM/svg: no variance",
         ]
         assert json.loads((out / "manifest.json").read_text())["warnings"] == warnings
         assert not list(out.glob("pc_pairs_*"))

@@ -123,17 +123,18 @@ class TestMfpca:
         values[:, :, 1] = rng.normal(size=(30, 1)) * np.cos(2 * np.pi * grid)
         model = fit_three_coordinate_model(values, grid, j_p=5)
         for j in range(model.eigenvalues.shape[0]):
-            assert np.max(np.abs(model.eigenfunctions[2][j])) < 1e-6 or model.eigenvalues[j] < 1e-18
+            assert np.max(np.abs(model.basis[j, :, 2])) < 1e-6 or model.eigenvalues[j] < 1e-18
 
     def test_orthonormal_eigenfunctions(self):
         grid = uniform_params(30)
         rng = np.random.default_rng(9)
         values = rng.normal(size=(50, 30, 3))
         model = fit_three_coordinate_model(values, grid, j_p=10)
+        assert np.array_equal(model.weights, trapezoid_weights(grid))
         k = model.eigenvalues.shape[0]
         for i in range(k):
             for j in range(i, k):
-                ip = mf_inner(grid, [model.eigenfunctions[p][i] for p in range(3)], [model.eigenfunctions[p][j] for p in range(3)])
+                ip = mf_inner(grid, [model.basis[i, :, p] for p in range(3)], [model.basis[j, :, p] for p in range(3)])
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-5)
 
     def test_score_covariance_is_diagonal_spectrum(self):
@@ -179,7 +180,7 @@ class TestMfpcaFit:
         model = mfpca_fit(values, grid, m_target, noise_covs, pve=0.9)
         assert np.array_equal(model.eigenvalues, expected.eigenvalues)
         assert np.array_equal(model.scores, expected.scores)
-        assert all(np.array_equal(a, b) for a, b in zip(model.eigenfunctions, expected.eigenfunctions))
+        assert np.array_equal(model.basis, expected.basis) and np.array_equal(model.mean, expected.mean)
 
     def test_caps_the_component_count(self):
         values = np.random.default_rng(3).normal(size=(40, 20, 3))
@@ -201,12 +202,12 @@ class TestMfpcaProject:
 
     def test_mean_curve_projects_to_zero(self):
         model, _, _ = self._model_and_values()
-        assert np.max(np.abs(mfpca_project(model, model.mean_functions[None]))) < 1e-8
+        assert np.max(np.abs(mfpca_project(model, model.mean[None]))) < 1e-8
 
     def test_eigen_direction_projects_to_eigen_score(self):
         model, _, _ = self._model_and_values()
         lam = model.eigenvalues[0]
-        curve = np.stack([model.univariate[p].mean_fn + np.sqrt(lam) * model.eigenfunctions[p][0] for p in range(3)], axis=1)
+        curve = model.mean + np.sqrt(lam) * model.basis[0]
         score = mfpca_project(model, curve[None])[0]
         expected = np.zeros_like(score)
         expected[0] = np.sqrt(lam)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from curvemorph.pca import pca_fit, pca_project, pca_reconstruct
+from curvemorph.fpca import mfpca_project, mfpca_reconstruct
+from curvemorph.pca import pca_fit
 
 
 class TestPcaFit:
@@ -13,7 +14,7 @@ class TestPcaFit:
         model = pca_fit(data)
         assert model.eigenvalues[0] > 0
         assert model.eigenvalues[1:].max() < 1e-20
-        assert abs(abs(model.loadings[0] @ v) - 1.0) < 1e-10
+        assert abs(abs(model.basis[0].ravel() @ v) - 1.0) < 1e-10
 
     def test_isotropic_symmetric_data(self):
         # three unit vectors at 120 degrees in the xy plane: both principal variances equal
@@ -27,7 +28,7 @@ class TestPcaFit:
         data = rng.normal(size=(10, 4, 3))
         model = pca_fit(data)
         for i in range(10):
-            recon = pca_reconstruct(model, model.scores[i], model.k_max)
+            recon = mfpca_reconstruct(model, model.scores[i], model.basis.shape[0])
             assert np.max(np.abs(recon - data[i])) < 1e-8
 
     def test_needs_two_rows(self):
@@ -42,8 +43,10 @@ class TestPcaFit:
     def test_loadings_orthonormal(self):
         rng = np.random.default_rng(2)
         model = pca_fit(rng.normal(size=(15, 3, 3)))
-        gram = model.loadings @ model.loadings.T
-        assert np.max(np.abs(gram - np.eye(model.k_max))) < 1e-8
+        assert model.basis.shape == (9, 3, 3) and np.array_equal(model.weights, np.ones(3))
+        loadings = model.basis.reshape(9, 9)
+        gram = loadings @ loadings.T
+        assert np.max(np.abs(gram - np.eye(9))) < 1e-8
 
 
 class TestPcaReconstruct:
@@ -51,8 +54,8 @@ class TestPcaReconstruct:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(8, 3, 3))
         model = pca_fit(data)
-        recon = pca_reconstruct(model, model.scores[0], 0)
-        consensus = model.mean_vector.reshape(-1, 3)
+        recon = mfpca_reconstruct(model, model.scores[0], 0)
+        consensus = model.mean
         assert np.array_equal(recon, consensus)
         assert np.allclose(consensus, data.mean(axis=0), atol=0)
 
@@ -62,15 +65,15 @@ class TestPcaReconstruct:
         model = pca_fit(data)
         for i in range(12):
             errs = []
-            for k in range(model.k_max + 1):
-                recon = pca_reconstruct(model, model.scores[i], k)
+            for k in range(model.basis.shape[0] + 1):
+                recon = mfpca_reconstruct(model, model.scores[i], k)
                 errs.append(np.sum((recon - data[i]) ** 2))
             assert all(errs[j + 1] <= errs[j] + 1e-12 for j in range(len(errs) - 1))
 
     def test_k_out_of_range(self):
         model = pca_fit(np.random.default_rng(5).normal(size=(6, 2, 3)))
         with pytest.raises(ValueError):
-            pca_reconstruct(model, model.scores[0], model.k_max + 1)
+            mfpca_reconstruct(model, model.scores[0], model.basis.shape[0] + 1)
 
 
 class TestInvariants:
@@ -93,10 +96,10 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         data = rng.normal(size=(20, 4, 3))
         model = pca_fit(data)
-        for k in (0, 3, 7, model.k_max):
+        for k in (0, 3, 7, model.basis.shape[0]):
             total_sq = 0.0
             for i in range(20):
-                recon = pca_reconstruct(model, model.scores[i], k)
+                recon = mfpca_reconstruct(model, model.scores[i], k)
                 total_sq += np.sum((recon - data[i]) ** 2)
             expected = model.eigenvalues[k:].sum() * (20 - 1)
             assert total_sq == pytest.approx(expected, rel=1e-6, abs=1e-12)
@@ -105,12 +108,12 @@ class TestInvariants:
         rng = np.random.default_rng(9)
         data = rng.normal(size=(18, 3, 3))
         model = pca_fit(data)
-        assert np.max(np.abs(pca_project(model, data) - model.scores)) < 1e-10
+        assert np.max(np.abs(mfpca_project(model, data) - model.scores)) < 1e-10
 
     def test_landmark_major_order(self):
         # a configuration is read as (x1, y1, z1, x2, ...): the mean and the
         # loadings follow that order
         pts = np.arange(36, dtype=float).reshape(2, 6, 3)
         model = pca_fit(pts)
-        assert np.array_equal(model.mean_vector[:6], [9, 10, 11, 12, 13, 14])
-        assert np.allclose(model.loadings[0], np.full(18, 1 / np.sqrt(18)))
+        assert np.array_equal(model.mean.ravel()[:6], [9, 10, 11, 12, 13, 14])
+        assert np.allclose(model.basis[0].ravel(), np.full(18, 1 / np.sqrt(18)))

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from curvemorph import pipelines
+from curvemorph import fpca, pipelines
 from curvemorph.curvetools import uniform_params
 from curvemorph.landmarks import LandmarkConfiguration, center, superimpose
 from curvemorph.pipelines import (
@@ -111,7 +111,7 @@ class TestReconstruction:
         data = phase_family(n=8)
         out = run_pipeline("GM", data)
         fitted = out.fitted
-        for i, recon in enumerate(fitted.reconstruct(fitted.model.k_max)[:4]):
+        for i, recon in enumerate(fitted.reconstruct(fitted.model.eigenvalues.shape[0])[:4]):
             assert evaluate_mse(fitted.targets[i], recon) < 1e-6
 
     def test_fdm_full_rank_reproduces_processed(self):
@@ -129,7 +129,7 @@ class TestReconstruction:
         data = phase_family(n=8)
         out = run_pipeline("GM", data)
         recon0 = out.fitted.reconstruct(0)[0]
-        mean_shape = out.fitted.model.mean_vector.reshape(-1, 3)
+        mean_shape = out.fitted.model.mean
         assert evaluate_mse(recon0, superimpose(mean_shape, recon0)) < 1e-12
 
     def test_elastic_roundtrip_fine_grid(self):
@@ -142,7 +142,7 @@ class TestReconstruction:
         for pid in ("GM", "FDM"):
             out = run_pipeline(pid, data)
             fitted = out.fitted
-            k_max = fitted.model.k_max if pid == "GM" else fitted.model.eigenvalues.shape[0]
+            k_max = fitted.model.eigenvalues.shape[0]
             for i in (0, 3):
                 errors = [
                     evaluate_mse(fitted.targets[i], fitted.reconstruct(k)[i])
@@ -170,6 +170,47 @@ class TestReconstructMatchesPerIndexOracle:
         a, b = rng.normal(size=(2, 5, 7, 3))
         assert bitwise_equal(evaluate_mse(a, b), np.array([float(np.mean((x - y) ** 2)) for x, y in zip(a, b)]))
         assert evaluate_mse(a[0], b[0]) == evaluate_mse(a, b)[0]
+
+
+class TestComponentKernelsMatchFormerKernels:
+    """``fpca.mfpca_project`` and ``fpca.mfpca_reconstruct`` against the former per-model kernels of ``tests/oracles.py``.
+
+    Bitwise on PCA models.  On MFPCA models the flattened products add up in
+    another order than the per-coordinate ones, within 1e-14 of the largest
+    magnitude of the former kernel's output.
+    """
+
+    @pytest.mark.parametrize("pid", ["GM", "FDM", "ArcFDM", "SoftSrvFdm"])
+    def test_benchmark_helix_replicate(self, pid, monkeypatch):
+        recorded = []
+        fit_mfpca = fpca.mfpca
+
+        def recording_mfpca(models, j_out=None):
+            model = fit_mfpca(models, j_out)
+            recorded.append((model, oracles.mfpca_model(models, j_out)))
+            return model
+
+        monkeypatch.setattr(fpca, "mfpca", recording_mfpca)
+        fitted = fit_pipeline(pid, benchmark_helix_replicate())
+        stack = fitted.targets  # an (n, M, 3) stack on the models' grid
+        if pid == "GM":
+            model, former = fitted.model, oracles.pca_model(fitted.model)
+            assert bitwise_equal(fpca.mfpca_project(model, stack), oracles.pca_project(former, stack))
+            for k in (0, 1, fitted.k95, model.eigenvalues.shape[0]):
+                for scores in (model.scores, model.scores[:, None]):
+                    assert bitwise_equal(fpca.mfpca_reconstruct(model, scores, k), oracles.pca_reconstruct(former, scores, k))
+            return
+
+        fitted_models = [fitted.model, fitted.recon_model] if pid == "SoftSrvFdm" else [fitted.model]
+        assert len(recorded) == len(fitted_models) and all(model is fit for (model, _), fit in zip(recorded, fitted_models))
+        for (model, former), k95 in zip(recorded, (fitted.k95, fitted.recon_k95)):
+            assert bitwise_equal(model.scores, former.scores) and bitwise_equal(model.basis, np.stack(former.eigenfunctions, axis=-1))
+            expected = oracles.mfpca_project(former, stack)
+            assert np.max(np.abs(fpca.mfpca_project(model, stack) - expected)) <= 1e-14 * np.max(np.abs(expected))
+            for k in (0, 1, k95, model.eigenvalues.shape[0]):
+                for scores in (model.scores, model.scores[:, None]):
+                    expected = oracles.mfpca_reconstruct(former, scores, k)
+                    assert np.max(np.abs(fpca.mfpca_reconstruct(model, scores, k) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestEvaluateMse:

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,11 +21,38 @@ class TestSimulationStudyScript:
         assert (tmp_path / "study" / "classification" / "cv_summary.csv").is_file()
 
 
+def output_digests(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py"), *map(str, args)],
+        cwd=ROOT, capture_output=True, text=True, timeout=900,
+    )
+
+
 class TestOutputDigests:
-    def test_seeded_outputs_match_the_expected_digests(self):
-        """Seeded CSV/SVG outputs move only together with an edit of ``scripts/output_digests.expected``."""
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "output_digests.py"), "--check", str(ROOT / "scripts" / "output_digests.expected")],
-            cwd=ROOT, capture_output=True, text=True, timeout=900,
-        )
+    def test_seeded_outputs_match_the_expected_digests(self, tmp_path):
+        """Seeded CSV/SVG outputs move only together with an edit of ``scripts/output_digests.expected``.
+
+        ``--keep`` copies the outputs each line digests; ``--against`` then
+        names only the kept files that differ, with their largest cell change.
+        """
+        kept = tmp_path / "kept"
+        proc = output_digests("--check", ROOT / "scripts" / "output_digests.expected", "--keep", kept)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        for line in proc.stdout.splitlines():
+            name, _, rest = line.partition(": ")
+            listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in sorted((kept / name).iterdir()))
+            assert rest.endswith(f"{len(list((kept / name).iterdir()))} files, {hashlib.sha256(listing.encode()).hexdigest()[:16]}")
+
+        mse = kept / "run-linear" / "mse.csv"
+        rows = list(csv.reader(mse.open(newline="")))
+        scale = max(abs(float(cell)) for row in rows[1:] for cell in row[1:])
+        rows[1][1] = repr(float(rows[1][1]) - 1e-3 * scale)
+        with mse.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        (kept / "classify-cv" / "cv_summary.csv").unlink()
+        proc = output_digests("--against", kept)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[6:] == [
+            f"run-linear/mse.csv: largest cell difference 0.001 of the largest magnitude {scale:.3g}",
+            f"classify-cv/cv_summary.csv: not in {kept}",
+        ]
