@@ -12,9 +12,9 @@ validation, plus a seeded helix simulation harness, round out the toolkit.
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, centroid_size, gpa, optimal_rotation, superimpose
 from curvemorph.curvetools import derivative, reparameterise_arclength, resample_uniform
 from curvemorph.srvf import SrvfCurve, WarpingFunction, estimate_warp, from_srvf, karcher_mean, to_srvf
-from curvemorph.fpca import ComponentModel, UnivariateFpcaModel, mfpca, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components, ufpca
+from curvemorph.fpca import ComponentModel, mfpca, mfpca_fit, mfpca_project, mfpca_reconstruct, select_components, ufpca
 from curvemorph.pca import pca_fit
-from curvemorph.pipelines import PIPELINE_IDS, PipelineOutput, PipelineSettings, evaluate_mse, run_pipeline
+from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, evaluate_mse, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate, group_curve
 from curvemorph.classify import CvReport, cross_validate, stratified_kfold
 
@@ -37,7 +37,6 @@ __all__ = [
     "estimate_warp",
     "karcher_mean",
     "ComponentModel",
-    "UnivariateFpcaModel",
     "ufpca",
     "mfpca",
     "mfpca_fit",
@@ -46,7 +45,6 @@ __all__ = [
     "select_components",
     "pca_fit",
     "PipelineSettings",
-    "PipelineOutput",
     "PIPELINE_IDS",
     "run_pipeline",
     "evaluate_mse",

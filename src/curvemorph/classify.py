@@ -315,7 +315,7 @@ class CvReport:
     sd_accuracy: float
     confusion: np.ndarray
     unconverged_folds: int  # folds whose classifier fit stopped short of its optimum
-    unconverged_karcher_folds: int  # folds whose pipeline fit's Karcher mean stopped at max_iter
+    unconverged_karcher_folds: int  # folds whose pipeline fit's Karcher mean stopped at srvf._KARCHER_MAX_ITER
 
 
 def stratified_kfold(labels: np.ndarray, seed: int = 0) -> np.ndarray:

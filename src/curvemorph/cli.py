@@ -377,9 +377,9 @@ def cmd_run(args) -> int:
 
     results, failures = _run_tasks(tasks, worker)
     warnings = [
-        f"{'/'.join(key)}: Karcher mean stopped at {output.fitted.karcher.iterations} iterations without converging"
+        f"{'/'.join(key)}: Karcher mean stopped at {output.karcher.iterations} iterations without converging"
         for key, output in results.items()
-        if not isinstance(output, Exception) and output.fitted.karcher is not None and not output.fitted.karcher.converged
+        if not isinstance(output, Exception) and output.karcher is not None and not output.karcher.converged
     ]
 
     outputs = []
@@ -389,7 +389,7 @@ def cmd_run(args) -> int:
         if not per_rep:
             continue
         k95_rows.append([pid, float(np.mean([o.k95 for o in per_rep]))])
-        mse_means = np.array([o.mse_mean for o in per_rep])
+        mse_means = np.array([o.mse_per_specimen.mean() for o in per_rep])
         mse_rows.append([pid, mse_means.mean(), mse_means.std(ddof=1) if len(per_rep) > 1 else 0.0])
 
         score_rows, scree_rows = [], []
@@ -411,7 +411,7 @@ def cmd_run(args) -> int:
         output = results[(first_rep, pid)]
         if not isinstance(output, Exception):
             cfg = first_configs[specimen_idx]
-            target = output.fitted.targets[specimen_idx]
+            target = output.targets[specimen_idx]
             recon = output.reconstructions[specimen_idx]
             rows = [
                 [i, *target[i], *recon[i]]
@@ -439,8 +439,6 @@ def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tu
         accs = []
         for f in range(N_FOLDS):
             tr, te = folds != f, folds == f
-            if np.unique(labels[tr]).size < 2:
-                continue
             try:
                 pred, _ = fit_predict("lda", pair[tr], labels[tr], pair[te])
                 accs.append(float(np.mean(pred == labels[te])))
@@ -544,7 +542,7 @@ def cmd_classify(args) -> int:
             except ValueError as exc:
                 warnings.append(f"{rep_name}/{pid}/svg: {exc}")
                 continue
-            karcher = output.fitted.karcher
+            karcher = output.karcher
             if karcher is not None and not karcher.converged:
                 warnings.append(f"{rep_name}/{pid}/svg: Karcher mean stopped at {karcher.iterations} iterations without converging")
             if output.k95 < 2:

@@ -34,28 +34,18 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class UnivariateFpcaModel:
-    """Eigen-decomposition of one coordinate's empirical covariance function."""
-
-    grid: np.ndarray
-    mean_fn: np.ndarray  # (M,)
-    eigenfunctions: np.ndarray  # (J_p, M), orthonormal under trapezoid quadrature
-    eigenvalues: np.ndarray  # (J_p,)
-    scores: np.ndarray  # (n, J_p)
-
-
-@dataclass
 class ComponentModel:
-    """A fitted principal-component model of (M, 3) curves or configurations.
+    """A fitted principal-component model of (M, P) curves or configurations.
 
     The J basis elements are orthonormal under the quadrature ``weights``:
     the sum over m and p of weights[m] * basis[i, m, p] * basis[j, m, p] is 1
     for i = j and 0 otherwise.  MFPCA models carry the trapezoid weights of
-    their grid, PCA models unit weights on their N landmarks.
+    their grid and PCA models unit weights on their N landmarks, both with
+    P = 3; ``ufpca`` models are one coordinate, P = 1.
     """
 
-    mean: np.ndarray  # (M, 3)
-    basis: np.ndarray  # (J, M, 3)
+    mean: np.ndarray  # (M, P)
+    basis: np.ndarray  # (J, M, P)
     weights: np.ndarray  # (M,)
     eigenvalues: np.ndarray  # (J,)
     scores: np.ndarray  # (n, J)
@@ -67,13 +57,15 @@ def ufpca(
     j_p: int,
     noise_cov: np.ndarray | None = None,
     pve: float | None = None,
-) -> UnivariateFpcaModel:
-    """Univariate FPCA of n curves sampled on a common grid.
+) -> ComponentModel:
+    """Univariate FPCA of n curves sampled on a common grid: a ``ComponentModel`` with P = 1.
 
     Curves are centered by the sample mean; the covariance function
     K(s, t) = sum_i X_i(s) X_i(t) / (n - 1) is diagonalised as a
     quadrature-weighted symmetric eigenproblem, and scores are quadrature
-    inner products against the eigenfunctions.
+    inner products against the eigenfunctions.  The model's mean is (M, 1),
+    its basis the (J_p, M, 1) eigenfunctions, orthonormal under the grid's
+    trapezoid weights.
 
     ``noise_cov`` is an optional measurement-error covariance subtracted from
     the empirical covariance before the decomposition, so this coordinate's
@@ -114,17 +106,19 @@ def ufpca(
     phi = fix_signs(evecs[:, order] / sw[:, None]).T  # (J_p, M)
 
     scores = centered @ (w[None, :] * phi).T  # (n, J_p)
-    return UnivariateFpcaModel(grid=grid, mean_fn=mean_fn, eigenfunctions=phi, eigenvalues=evals, scores=scores)
+    return ComponentModel(mean=mean_fn[:, None], basis=phi[:, :, None], weights=w, eigenvalues=evals, scores=scores)
 
 
-def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> ComponentModel:
-    """Combine per-coordinate univariate models into a multivariate decomposition.
+def mfpca(models: list[ComponentModel], j_out: int | None = None) -> ComponentModel:
+    """Combine three per-coordinate ``ufpca`` models (P = 1) into a multivariate decomposition (P = 3).
 
     The model's mean stacks the coordinates' mean functions, and its basis the
-    multivariate eigenfunctions, orthonormal under the grid's trapezoid weights.
+    multivariate eigenfunctions, orthonormal under the first model's weights.
     """
     if len(models) != 3:
         raise ValueError("expected one univariate model per coordinate")
+    if any(u.mean.shape[1] != 1 for u in models):
+        raise ValueError("expected univariate models (one coordinate each)")
     n = models[0].scores.shape[0]
     if any(u.scores.shape[0] != n for u in models):
         raise ValueError("univariate models disagree on sample count")
@@ -145,9 +139,9 @@ def mfpca(models: list[UnivariateFpcaModel], j_out: int | None = None) -> Compon
     # each coordinate's (J_p, J_out) block of vecs combines its eigenfunctions into (J_out, M)
     blocks = np.split(vecs, np.cumsum(j_blocks)[:-1])
     return ComponentModel(
-        mean=np.stack([u.mean_fn for u in models], axis=1),
-        basis=np.stack([block.T @ u.eigenfunctions for u, block in zip(models, blocks)], axis=-1),
-        weights=trapezoid_weights(models[0].grid),
+        mean=np.concatenate([u.mean for u in models], axis=1),
+        basis=np.stack([block.T @ u.basis[:, :, 0] for u, block in zip(models, blocks)], axis=-1),
+        weights=models[0].weights,
         eigenvalues=evals,
         scores=xi @ vecs,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,19 +92,6 @@ class PipelineSettings:
             raise ValueError("alpha_soft must lie in [0, 1]")
         if self.lambda_soft < 0.0 or self.m_target < 1:
             raise ValueError("lambda_soft >= 0 and m_target >= 1 required")
-
-
-@dataclass
-class PipelineOutput:
-    pipeline_id: str
-    scores: np.ndarray  # (n, k95)
-    k95: int
-    eigenvalues: np.ndarray  # retained spectrum used for component selection
-    reconstructions: np.ndarray  # (n, N, 3), superimposed onto the originals
-    mse_per_specimen: np.ndarray
-    mse_mean: float
-    mse_sd: float
-    fitted: "FittedPipeline" = field(repr=False, default=None)
 
 
 def evaluate_mse(original: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
@@ -218,7 +205,8 @@ class FittedPipeline:
 
     ``model`` gives the scores and projects held-out specimens; the
     reconstructions come from ``recon_model``, which is the SRVF-space model
-    in the elastic chains and ``model`` otherwise.
+    in the elastic chains and ``model`` otherwise.  ``reconstructions`` and
+    ``mse_per_specimen`` are computed once, on first use.
     """
 
     pipeline_id: str
@@ -238,6 +226,16 @@ class FittedPipeline:
     @property
     def scores(self) -> np.ndarray:
         return self.model.scores[:, : self.k95]
+
+    @functools.cached_property
+    def reconstructions(self) -> np.ndarray:
+        """(n, N, 3) reconstructions at ``recon_k95``, each superimposed on its target."""
+        return self.reconstruct()
+
+    @functools.cached_property
+    def mse_per_specimen(self) -> np.ndarray:
+        """(n,) reconstruction MSE of each training specimen against its target."""
+        return evaluate_mse(self.targets, self.reconstructions)
 
     def _align_amplitude(self, pts: np.ndarray) -> np.ndarray:
         """Register a (K, N, 3) stack of smoothed unit-size configurations to the trained template."""
@@ -345,21 +343,8 @@ def run_pipeline(
     pipeline_id: str,
     dataset: list[LandmarkConfiguration],
     settings: PipelineSettings | None = None,
-) -> PipelineOutput:
-    """Fit one pipeline on a dataset and assemble scores, reconstructions, and MSE."""
+) -> FittedPipeline:
+    """Fit one pipeline on a dataset, with its reconstructions and their MSE computed."""
     fitted = fit_pipeline(pipeline_id, dataset, settings)
-    n = len(dataset)
-    recons = fitted.reconstruct()
-    mse = evaluate_mse(fitted.targets, recons)
-    return PipelineOutput(
-        pipeline_id=fitted.pipeline_id,
-        scores=fitted.scores,
-        k95=fitted.k95,
-        eigenvalues=fitted.eigenvalues,
-        reconstructions=recons,
-        mse_per_specimen=mse,
-        mse_mean=float(mse.mean()),
-        mse_sd=float(mse.std(ddof=1)) if n > 1 else 0.0,
-        fitted=fitted,
-    )
-
+    fitted.mse_per_specimen  # computes the reconstructions too, so a failure there fails this call
+    return fitted

@@ -35,6 +35,8 @@ _DP_DEPTH = int(_DP_DI.max())
 # The Karcher iteration has converged once its aligned variance falls by no
 # more than this share of its current value in one iteration.
 _KARCHER_REL_TOL = 1e-3
+# It stops unconverged after this many iterations.
+_KARCHER_MAX_ITER = 20
 
 
 @dataclass
@@ -411,7 +413,6 @@ class KarcherResult:
 
 def karcher_mean(
     qs: list[SrvfCurve],
-    max_iter: int = 20,
     lam: float = 0.0,
     alpha: float = 1.0,
 ) -> KarcherResult:
@@ -427,8 +428,8 @@ def karcher_mean(
     If instead V_i rises above V_(i-1), the previous, better iterate is
     kept, and that counts as converged too.  The rule reads only ratios of
     variances, so scaling every curve by a common factor changes no
-    decision.  ``converged`` is False only when ``max_iter`` iterations
-    ran without meeting the rule.
+    decision.  ``converged`` is False only when ``_KARCHER_MAX_ITER``
+    iterations ran without meeting the rule.
 
     The template is only defined up to a common reparameterisation; the
     result fixes that gauge by composing everything with the inverse of the
@@ -437,8 +438,6 @@ def karcher_mean(
     """
     if len(qs) < 2:
         raise ValueError("karcher_mean needs at least 2 curves")
-    if max_iter < 1:
-        raise ValueError("karcher_mean needs max_iter >= 1")
     if not lam >= 0.0:
         raise ValueError("lam must be >= 0")
     if not 0.0 <= alpha <= 1.0:
@@ -453,7 +452,7 @@ def karcher_mean(
     variance_history: list[float] = []
     current_warps = np.broadcast_to(uniform_params(t.shape[0]), originals.shape[:2])  # identity warps
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _KARCHER_MAX_ITER + 1):
         aligned, warps, rotations = np.empty_like(originals), np.empty(originals.shape[:2]), np.empty((len(qs), 3, 3))
         for k, q in enumerate(originals):
             _, aligned[k], warps[k], rotations[k] = align_step(q, template, current_warps[k], lam, alpha)

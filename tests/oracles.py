@@ -35,7 +35,7 @@ from curvemorph.basis import ORDER, fit_coefficients
 from curvemorph.classify import MultinomialModel, multinomial_gradient, multinomial_objective
 from curvemorph.curvetools import uniform_params
 from curvemorph import fpca
-from curvemorph.fpca import ComponentModel, UnivariateFpcaModel, fix_signs, trapezoid_weights
+from curvemorph.fpca import ComponentModel, fix_signs
 from curvemorph.landmarks import LandmarkConfiguration, ProcrustesResult, _canonical_frame
 from curvemorph.srvf import SrvfCurve, WarpingFunction, _l2_norm_sq, _rotation, _warp_values, from_srvf
 
@@ -374,7 +374,7 @@ def pca_reconstruct(model: PcaModel, scores: np.ndarray, k: int) -> np.ndarray:
 class MfpcaModel:
     """Multivariate FPCA built from three per-coordinate univariate models."""
 
-    univariate: list[UnivariateFpcaModel]
+    univariate: list[ComponentModel]  # per coordinate, from ``fpca.ufpca``
     eigenvalues: np.ndarray  # (J_out,)
     eigvecs: np.ndarray  # (J, J_out)
     eigenfunctions: list[np.ndarray]  # per coordinate, (J_out, M)
@@ -382,10 +382,10 @@ class MfpcaModel:
 
     @property
     def mean_functions(self) -> np.ndarray:
-        return np.stack([u.mean_fn for u in self.univariate], axis=1)  # (M, 3)
+        return np.stack([u.mean[:, 0] for u in self.univariate], axis=1)  # (M, 3)
 
 
-def mfpca_model(models: list[UnivariateFpcaModel], j_out: int | None = None) -> MfpcaModel:
+def mfpca_model(models: list[ComponentModel], j_out: int | None = None) -> MfpcaModel:
     """The former ``fpca.mfpca``: the same decomposition, kept per coordinate with its univariate models."""
     if len(models) != 3:
         raise ValueError("expected one univariate model per coordinate")
@@ -408,7 +408,7 @@ def mfpca_model(models: list[UnivariateFpcaModel], j_out: int | None = None) -> 
 
     # each coordinate's (J_p, J_out) block of vecs combines its eigenfunctions into (J_out, M)
     blocks = np.split(vecs, np.cumsum(j_blocks)[:-1])
-    eigenfunctions = [block.T @ u.eigenfunctions for u, block in zip(models, blocks)]
+    eigenfunctions = [block.T @ u.basis[:, :, 0] for u, block in zip(models, blocks)]
     scores = xi @ vecs
     return MfpcaModel(
         univariate=list(models),
@@ -430,8 +430,7 @@ def mfpca_project(model: MfpcaModel, new_samples: np.ndarray) -> np.ndarray:
         raise ValueError("grid mismatch with the fitted model")
     xi_blocks = []
     for p, u in enumerate(model.univariate):
-        w = trapezoid_weights(u.grid)
-        xi_blocks.append((new_samples[:, :, p] - u.mean_fn) @ (w[None, :] * u.eigenfunctions).T)
+        xi_blocks.append((new_samples[:, :, p] - u.mean[:, 0]) @ (u.weights[None, :] * u.basis[:, :, 0]).T)
     xi = np.concatenate(xi_blocks, axis=1)
     return xi @ model.eigvecs
 

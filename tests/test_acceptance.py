@@ -80,7 +80,7 @@ def test_criterion_1_variance_component_counts(simulation_runs):
 
 def test_criterion_2_reconstruction_mse(simulation_runs):
     outputs, elapsed = simulation_runs
-    means = {pid: float(np.mean([o.mse_mean for o in outs])) for pid, outs in outputs.items()}
+    means = {pid: float(np.mean([o.mse_per_specimen.mean() for o in outs])) for pid, outs in outputs.items()}
     ordering = means["FDM"] < means["SoftSrvFdm"] < means["GM"] and means["ArcSoftSrvFdm"] < means["ArcGM"]
     window_results = {
         pid: PAPER_MSE[pid] / 5 <= means[pid] <= PAPER_MSE[pid] * 5 for pid in PAPER_MSE

@@ -1,11 +1,9 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvemorph import classify, pipelines, srvf
+from curvemorph import classify, srvf
 from curvemorph.classify import (
     CLASSIFIER_NAMES,
     canonical_classifier,
@@ -490,7 +488,7 @@ class TestCrossValidate:
     def test_unconverged_karcher_folds_are_counted(self, monkeypatch):
         configs = simulated_configs(sizes=(4, 4, 4, 4), n_points=15)
         assert cross_validate(configs, "SoftSrvFdm", "multinomial").unconverged_karcher_folds == 0
-        monkeypatch.setattr(pipelines, "karcher_mean", functools.partial(srvf.karcher_mean, max_iter=2))
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 2)
         assert cross_validate(configs, "SoftSrvFdm", "multinomial").unconverged_karcher_folds == 5
         assert cross_validate(configs, "GM", "multinomial").unconverged_karcher_folds == 0
 

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -225,7 +224,7 @@ class TestRun:
         assert main(args + ["--out", str(tmp_path / "converged")]) == 0
         assert json.loads((tmp_path / "converged" / "manifest.json").read_text())["warnings"] == []
         capsys.readouterr()
-        monkeypatch.setattr(pipelines, "karcher_mean", functools.partial(srvf.karcher_mean, max_iter=2))
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 2)
         out = tmp_path / "capped"
         assert main(args + ["--out", str(out)]) == 0
         warnings = [f"d/{pid}: Karcher mean stopped at 2 iterations without converging" for pid in ("ElasticSrvFdm", "SoftSrvFdm")]
@@ -583,7 +582,7 @@ class TestClassify:
             if pid == "FDM":
                 raise ValueError("no variance")
             output = full_fit(pid, configs, settings)
-            return dataclasses.replace(output, k95=1, scores=output.scores[:, :1])
+            return dataclasses.replace(output, k95=1)
 
         monkeypatch.setattr(cli, "run_pipeline", failing_fdm_and_one_component_gm)
         out = tmp_path / "o"
@@ -646,7 +645,7 @@ class TestClassify:
         assert main(args + ["--out", str(tmp_path / "converged")]) == 0
         assert json.loads((tmp_path / "converged" / "manifest.json").read_text())["warnings"] == []
         capsys.readouterr()
-        monkeypatch.setattr(pipelines, "karcher_mean", functools.partial(srvf.karcher_mean, max_iter=2))
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 2)
         out = tmp_path / "capped"
         assert main(args + ["--out", str(out)]) == 0
         warnings = [

@@ -35,7 +35,7 @@ class TestUfpca:
         assert model.eigenvalues[0] / model.eigenvalues.sum() > 0.9999
         phi = np.sin(2 * np.pi * grid)
         phi = phi / np.sqrt(np.sum(trapezoid_weights(grid) * phi**2))
-        align = abs(float(np.sum(trapezoid_weights(grid) * model.eigenfunctions[0] * phi)))
+        align = abs(float(np.sum(trapezoid_weights(grid) * model.basis[0, :, 0] * phi)))
         assert align == pytest.approx(1.0, abs=1e-6)
 
     def test_identical_curves_zero_spectrum(self):
@@ -49,7 +49,7 @@ class TestUfpca:
         rng = np.random.default_rng(1)
         samples = rng.normal(size=(200, 30))
         model = ufpca(samples, grid, j_p=30)
-        recon = model.mean_fn + model.scores @ model.eigenfunctions
+        recon = model.mean[:, 0] + model.scores @ model.basis[:, :, 0]
         assert np.max(np.abs(recon - samples)) < 1e-8
 
     def test_orthonormal_under_quadrature(self):
@@ -57,7 +57,7 @@ class TestUfpca:
         samples = np.random.default_rng(2).normal(size=(60, 40))
         model = ufpca(samples, grid, j_p=10)
         w = trapezoid_weights(grid)
-        gram = (model.eigenfunctions * w) @ model.eigenfunctions.T
+        gram = (model.basis[:, :, 0] * w) @ model.basis[:, :, 0].T
         assert np.max(np.abs(gram - np.eye(10))) < 1e-6
 
     def test_jp_too_large(self):
@@ -164,6 +164,15 @@ class TestMfpca:
         models = [ufpca(rng.normal(size=(10, 20)), grid, 3) for _ in range(2)]
         models.append(ufpca(rng.normal(size=(11, 20)), grid, 3))
         with pytest.raises(ValueError):
+            mfpca(models)
+
+    def test_only_univariate_models_combine(self):
+        grid = uniform_params(20)
+        values = np.random.default_rng(13).normal(size=(10, 20, 3))
+        models = [ufpca(values[:, :, p], grid, 3) for p in range(3)]
+        assert all(u.mean.shape == (20, 1) and u.basis.shape == (3, 20, 1) for u in models)
+        models[2] = mfpca(models)
+        with pytest.raises(ValueError, match="^expected univariate models"):
             mfpca(models)
 
 

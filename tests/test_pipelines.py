@@ -69,8 +69,8 @@ class TestChains:
         elastic = run_pipeline("ElasticSrvFdm", data, PipelineSettings(n_points=40))
         soft = run_pipeline("SoftSrvFdm", data, PipelineSettings(n_points=40, alpha_soft=1.0, lambda_soft=0.0))
         assert np.array_equal(soft.scores, elastic.scores)
-        assert np.array_equal(soft.fitted.transform(data), elastic.fitted.transform(data))
-        assert soft.mse_mean == elastic.mse_mean
+        assert np.array_equal(soft.transform(data), elastic.transform(data))
+        assert soft.mse_per_specimen.mean() == elastic.mse_per_specimen.mean()
         default_soft = run_pipeline("SoftSrvFdm", data, PipelineSettings(n_points=40))
         assert not np.array_equal(default_soft.scores, elastic.scores)
 
@@ -96,7 +96,7 @@ class TestRunPipeline:
         assert out.scores.shape == (8, out.k95)
         assert out.reconstructions.shape == (8, 30, 3)
         assert out.mse_per_specimen.shape == (8,)
-        assert out.mse_mean == pytest.approx(out.mse_per_specimen.mean())
+        assert bitwise_equal(out.mse_per_specimen, evaluate_mse(out.targets, out.reconstructions))
 
     def test_all_pipelines_run(self):
         data = generate_replicate(SimConfig(group_sizes=(5, 5, 5, 5), n_points=20, seed=1), 0)
@@ -109,15 +109,13 @@ class TestRunPipeline:
 class TestReconstruction:
     def test_gm_full_rank_reproduces_processed(self):
         data = phase_family(n=8)
-        out = run_pipeline("GM", data)
-        fitted = out.fitted
+        fitted = run_pipeline("GM", data)
         for i, recon in enumerate(fitted.reconstruct(fitted.model.eigenvalues.shape[0])[:4]):
             assert evaluate_mse(fitted.targets[i], recon) < 1e-6
 
     def test_fdm_full_rank_reproduces_processed(self):
         data = phase_family(n=8)
-        out = run_pipeline("FDM", data)
-        fitted = out.fitted
+        fitted = run_pipeline("FDM", data)
         j_full = fitted.model.eigenvalues.shape[0]
         basis = build_basis()
         for i, recon in enumerate(fitted.reconstruct(j_full)[:4]):
@@ -128,20 +126,19 @@ class TestReconstruction:
     def test_zero_components_gives_mean_shape(self):
         data = phase_family(n=8)
         out = run_pipeline("GM", data)
-        recon0 = out.fitted.reconstruct(0)[0]
-        mean_shape = out.fitted.model.mean
+        recon0 = out.reconstruct(0)[0]
+        mean_shape = out.model.mean
         assert evaluate_mse(recon0, superimpose(mean_shape, recon0)) < 1e-12
 
     def test_elastic_roundtrip_fine_grid(self):
         data = phase_family(n=8, m=150, spread=0.4)
         out = run_pipeline("ElasticSrvFdm", data, PipelineSettings(n_points=150))
-        assert out.mse_mean < 1e-3
+        assert out.mse_per_specimen.mean() < 1e-3
 
     def test_mse_nonincreasing_in_components(self):
         data = phase_family(n=10)
         for pid in ("GM", "FDM"):
-            out = run_pipeline(pid, data)
-            fitted = out.fitted
+            fitted = run_pipeline(pid, data)
             k_max = fitted.model.eigenvalues.shape[0]
             for i in (0, 3):
                 errors = [
@@ -156,12 +153,11 @@ class TestReconstructMatchesPerIndexOracle:
     @pytest.mark.parametrize("pid", ["GM", "ArcGM", "FDM", "SoftSrvFdm"])
     def test_benchmark_helix_replicate(self, pid):
         data = benchmark_helix_replicate()
-        out = run_pipeline(pid, data)
-        fitted = out.fitted
+        fitted = run_pipeline(pid, data)
         expected = np.stack([oracles.reconstruct(fitted, i) for i in range(len(data))])
-        assert bitwise_equal(out.reconstructions, expected)
+        assert bitwise_equal(fitted.reconstructions, expected)
         mse = [float(np.mean((target - recon) ** 2)) for target, recon in zip(fitted.targets, expected)]
-        assert bitwise_equal(out.mse_per_specimen, np.array(mse))
+        assert bitwise_equal(fitted.mse_per_specimen, np.array(mse))
         for k in (0, 1):
             assert bitwise_equal(fitted.reconstruct(k), np.stack([oracles.reconstruct(fitted, i, k) for i in range(len(data))]))
 
@@ -242,7 +238,7 @@ class TestTransformConsistency:
     def test_training_data_reproduces_scores(self, pid):
         data = phase_family(n=8, m=40)
         out = run_pipeline(pid, data, PipelineSettings(n_points=40))
-        again = out.fitted.transform(data)
+        again = out.transform(data)
         assert np.max(np.abs(again - out.scores)) < 1e-8
 
     @pytest.mark.parametrize("pid", ["GM", "ElasticSrvFdm"])
@@ -256,7 +252,7 @@ class TestTransformConsistency:
     def test_elastic_training_data_close(self):
         data = phase_family(n=8, m=40, spread=0.4)
         out = run_pipeline("ElasticSrvFdm", data, PipelineSettings(n_points=40))
-        again = out.fitted.transform(data)
+        again = out.transform(data)
         rel = np.linalg.norm(again - out.scores) / np.linalg.norm(out.scores)
         assert rel < 0.05
 

@@ -624,21 +624,24 @@ class TestKarcherMean:
         rel = np.sqrt(elastic_distance_sq(a, b) / elastic_distance_sq(q, SrvfCurve(q.params, np.zeros_like(q.q))))
         assert rel < 0.05
 
-    def test_single_iteration_template_is_mean(self):
+    def test_single_iteration_template_is_mean(self, monkeypatch):
         qs = [smooth_random_q(40, seed=50 + i) for i in range(3)]
-        result = karcher_mean(qs, max_iter=1)
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 1)
+        result = karcher_mean(qs)
         mean_q = np.mean([a.q for a in result.aligned], axis=0)
         assert np.array_equal(result.template.q, mean_q)
 
-    def test_variance_monotone(self):
+    def test_variance_monotone(self, monkeypatch):
         qs = [smooth_random_q(60, seed=60 + i) for i in range(6)]
-        result = karcher_mean(qs, max_iter=8)
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 8)
+        result = karcher_mean(qs)
         v = result.variance_history
         assert all(v[i + 1] <= v[i] + 1e-9 for i in range(len(v) - 1))
 
-    def test_returns_warps_and_rotations(self):
+    def test_returns_warps_and_rotations(self, monkeypatch):
         qs = [smooth_random_q(40, seed=70 + i) for i in range(3)]
-        result = karcher_mean(qs, max_iter=3)
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 3)
+        result = karcher_mean(qs)
         assert len(result.aligned) == 3
         assert result.warps.shape == (3, 40) and result.rotations.shape == (3, 3, 3)
 
@@ -671,20 +674,22 @@ class TestKarcherMean:
         assert v[-2] - v[-1] <= 1e-3 * v[-1]
         assert all(v[i - 1] - v[i] > 1e-3 * v[i] for i in range(1, len(v) - 1))
 
-    def test_variance_rise_keeps_the_previous_iterate_as_converged(self):
+    def test_variance_rise_keeps_the_previous_iterate_as_converged(self, monkeypatch):
         qs = [smooth_random_q(61, seed=120 + i) for i in range(2)]
         result = karcher_mean(qs, lam=0.01, alpha=0.6)
         v = result.variance_history
         assert result.converged and result.iterations == len(v) == 2
         assert v[0] - v[1] > 1e-3 * v[1]  # the variance rose at iteration 3; the rule did not stop it
-        capped = karcher_mean(qs, max_iter=2, lam=0.01, alpha=0.6)
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 2)
+        capped = karcher_mean(qs, lam=0.01, alpha=0.6)
         assert not capped.converged
         assert np.array_equal(result.template.q, capped.template.q)
 
     @pytest.mark.parametrize("max_iter", [1, 3])
-    def test_iteration_cap_is_not_converged(self, max_iter):
+    def test_iteration_cap_is_not_converged(self, max_iter, monkeypatch):
         t, curves = phase_varied_curves(seed=5)
-        result = karcher_mean([SrvfCurve(t, q) for q in to_srvf(curves, t)], max_iter=max_iter)
+        monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", max_iter)
+        result = karcher_mean([SrvfCurve(t, q) for q in to_srvf(curves, t)])
         assert (result.iterations, result.converged) == (max_iter, False)
         assert len(result.variance_history) == max_iter
 
@@ -786,11 +791,6 @@ class TestKarcherMatchesObjectLoopOracle:
             assert result.iterations == expected.iterations
             assert result.converged == expected.converged
             assert np.array_equal(result.variance_history, expected.variance_history)
-
-    def test_max_iter_below_one_is_rejected(self):
-        qs = [smooth_random_q(20, seed=i) for i in range(3)]
-        with pytest.raises(ValueError, match="max_iter >= 1"):
-            karcher_mean(qs, max_iter=0)
 
     def test_curves_off_the_first_grid_are_rejected(self):
         qs = [smooth_random_q(20, seed=i) for i in range(3)]
