@@ -26,6 +26,7 @@ from curvemorph.classify import CLASSIFIER_NAMES, N_FOLDS, canonical_classifier,
 from curvemorph.landmarks import LandmarkConfiguration
 from curvemorph.pipelines import PIPELINE_IDS, PipelineSettings, canonical_pipeline_id, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
+from curvemorph.srvf import KarcherResult
 
 
 class InputError(Exception):
@@ -62,37 +63,42 @@ def write_landmark_csv(path: Path, configs: list[LandmarkConfiguration]) -> None
     write_csv(path, LANDMARK_HEADER, rows)
 
 
-def read_landmark_csv(path: Path) -> list[LandmarkConfiguration]:
+def _csv_rows(path: Path, header: list[str] | None = None):
+    """(line number, row) of each non-blank row of a CSV file, read as it streams.
+
+    A given ``header`` must be the first row and is not yielded.  A header
+    mismatch, or a file that cannot be opened or decoded, is an ``InputError``.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != LANDMARK_HEADER:
-                raise InputError(f"{path}: expected header {','.join(LANDMARK_HEADER)}")
-            by_specimen: dict[str, tuple[str, list[tuple[int, float, float, float]]]] = {}
-            order: list[str] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 6:
-                    raise InputError(f"{path}:{lineno}: expected 6 fields")
-                sid, label, idx, x, y, z = row
-                try:
-                    entry = (int(idx), float(x), float(y), float(z))
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-                if sid not in by_specimen:
-                    by_specimen[sid] = (label, [])
-                    order.append(sid)
-                elif label != by_specimen[sid][0]:
-                    raise InputError(f"{path}:{lineno}: specimen {sid}: label {label!r} differs from {by_specimen[sid][0]!r}")
-                by_specimen[sid][1].append(entry)
+            if header is not None and next(reader, None) != header:
+                raise InputError(f"{path}: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=1 if header is None else 2):
+                if row:
+                    yield lineno, row
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
+
+def read_landmark_csv(path: Path) -> list[LandmarkConfiguration]:
+    by_specimen: dict[str, tuple[str, list[tuple[int, float, float, float]]]] = {}
+    for lineno, row in _csv_rows(path, LANDMARK_HEADER):
+        if len(row) != 6:
+            raise InputError(f"{path}:{lineno}: expected 6 fields")
+        sid, label, idx, x, y, z = row
+        try:
+            entry = (int(idx), float(x), float(y), float(z))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if sid not in by_specimen:
+            by_specimen[sid] = (label, [])
+        elif label != by_specimen[sid][0]:
+            raise InputError(f"{path}:{lineno}: specimen {sid}: label {label!r} differs from {by_specimen[sid][0]!r}")
+        by_specimen[sid][1].append(entry)
+
     configs = []
-    for sid in order:
-        label, entries = by_specimen[sid]
+    for sid, (label, entries) in by_specimen.items():
         entries.sort(key=lambda e: e[0])
         indices = [e[0] for e in entries]
         if indices != list(range(len(entries))):
@@ -111,24 +117,14 @@ def read_landmark_csv(path: Path) -> list[LandmarkConfiguration]:
 
 
 def read_labels_csv(path: Path) -> dict[str, str]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["specimen_id", "label"]:
-                raise InputError(f"{path}: expected header specimen_id,label")
-            labels = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise InputError(f"{path}:{lineno}: expected 2 fields")
-                if row[0] in labels:
-                    raise InputError(f"{path}:{lineno}: specimen {row[0]} listed twice")
-                labels[row[0]] = row[1]
-            return labels
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    labels = {}
+    for lineno, row in _csv_rows(path, ["specimen_id", "label"]):
+        if len(row) != 2:
+            raise InputError(f"{path}:{lineno}: expected 2 fields")
+        if row[0] in labels:
+            raise InputError(f"{path}:{lineno}: specimen {row[0]} listed twice")
+        labels[row[0]] = row[1]
+    return labels
 
 
 def apply_labels(configs: list[LandmarkConfiguration], labels: dict[str, str]) -> list[LandmarkConfiguration]:
@@ -341,21 +337,25 @@ def _load_replicates(values: dict) -> list[tuple[str, list[LandmarkConfiguration
 
 
 def _run_tasks(tasks, worker) -> tuple[dict, list[str]]:
-    """Evaluate independent tasks in order; results keyed by task.
+    """Evaluate independent tasks in order: the successful results keyed by task, and the failures.
 
-    A task whose worker raises ``ValueError`` keeps the exception as its
-    result and is listed in the failures as ``key/parts: message``.
+    A task whose worker raises ``ValueError`` has no result; it is listed
+    in the failures, in task order, as ``key/parts: message``.
     """
-
-    def attempt(key):
+    results, failures = {}, []
+    for key in tasks:
         try:
-            return worker(*key)
+            results[key] = worker(*key)
         except ValueError as exc:
-            return exc
-
-    results = {key: attempt(key) for key in tasks}
-    failures = [f"{'/'.join(key)}: {res}" for key, res in results.items() if isinstance(res, Exception)]
+            failures.append(f"{'/'.join(key)}: {exc}")
     return results, failures
+
+
+def _karcher_warning(name: str, karcher: KarcherResult | None) -> list[str]:
+    """The warning for a fit whose Karcher mean did not converge; none for a converged one, or a fit without registration."""
+    if karcher is None or karcher.converged:
+        return []
+    return [f"{name}: Karcher mean stopped at {karcher.iterations} iterations without converging"]
 
 
 def cmd_run(args) -> int:
@@ -376,48 +376,35 @@ def cmd_run(args) -> int:
         return run_pipeline(pid, data_by_rep[rep_name], settings)
 
     results, failures = _run_tasks(tasks, worker)
-    warnings = [
-        f"{'/'.join(key)}: Karcher mean stopped at {output.karcher.iterations} iterations without converging"
-        for key, output in results.items()
-        if not isinstance(output, Exception) and output.karcher is not None and not output.karcher.converged
-    ]
+    warnings = [warning for key, fitted in results.items() for warning in _karcher_warning("/".join(key), fitted.karcher)]
 
     outputs = []
     k95_rows, mse_rows = [], []
     for pid in pipelines:
-        per_rep = [results[(rep, pid)] for rep, _ in replicates if not isinstance(results[(rep, pid)], Exception)]
-        if not per_rep:
+        fits = [(rep_name, configs, results[(rep_name, pid)]) for rep_name, configs in replicates if (rep_name, pid) in results]
+        if not fits:
             continue
-        k95_rows.append([pid, float(np.mean([o.k95 for o in per_rep]))])
-        mse_means = np.array([o.mse_per_specimen.mean() for o in per_rep])
-        mse_rows.append([pid, mse_means.mean(), mse_means.std(ddof=1) if len(per_rep) > 1 else 0.0])
+        k95_rows.append([pid, float(np.mean([fitted.k95 for _, _, fitted in fits]))])
+        mse_means = np.array([fitted.mse_per_specimen.mean() for _, _, fitted in fits])
+        mse_rows.append([pid, mse_means.mean(), mse_means.std(ddof=1) if len(fits) > 1 else 0.0])
 
         score_rows, scree_rows = [], []
-        for rep_name, configs in replicates:
-            output = results[(rep_name, pid)]
-            if isinstance(output, Exception):
-                continue
+        for rep_name, configs, fitted in fits:
             for i, cfg in enumerate(configs):
-                score_rows.append([rep_name, cfg.specimen_id, cfg.label or ""] + list(output.scores[i]))
-            total = output.eigenvalues.sum()
-            cum = np.cumsum(output.eigenvalues) / total
-            for j, (ev, cf) in enumerate(zip(output.eigenvalues, cum), start=1):
+                score_rows.append([rep_name, cfg.specimen_id, cfg.label or ""] + list(fitted.scores[i]))
+            cum = np.cumsum(fitted.eigenvalues) / fitted.eigenvalues.sum()
+            for j, (ev, cf) in enumerate(zip(fitted.eigenvalues, cum), start=1):
                 scree_rows.append([rep_name, j, ev, cf])
         k_cols = max(len(r) - 3 for r in score_rows)
         write_csv(out / f"scores_{pid}.csv", ["replicate", "specimen_id", "label"] + [f"score_{j+1}" for j in range(k_cols)], score_rows)
         write_csv(out / f"scree_{pid}.csv", ["replicate", "component", "eigenvalue", "cumulative_fraction"], scree_rows)
         outputs += [f"scores_{pid}.csv", f"scree_{pid}.csv"]
 
-        output = results[(first_rep, pid)]
-        if not isinstance(output, Exception):
-            cfg = first_configs[specimen_idx]
-            target = output.targets[specimen_idx]
-            recon = output.reconstructions[specimen_idx]
-            rows = [
-                [i, *target[i], *recon[i]]
-                for i in range(target.shape[0])
-            ]
-            name = f"recon_{pid}_{cfg.specimen_id}.csv"
+        if (first_rep, pid) in results:
+            fitted = results[(first_rep, pid)]
+            pairs = zip(fitted.targets[specimen_idx], fitted.reconstructions[specimen_idx])
+            rows = [[i, *target, *recon] for i, (target, recon) in enumerate(pairs)]
+            name = f"recon_{pid}_{first_configs[specimen_idx].specimen_id}.csv"
             write_csv(out / name, ["landmark_index", "orig_x", "orig_y", "orig_z", "recon_x", "recon_y", "recon_z"], rows)
             outputs.append(name)
 
@@ -430,9 +417,9 @@ def cmd_run(args) -> int:
                    f"wrote results for {len(pipelines)} pipeline(s) to {out}")
 
 
-def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tuple[int, float]:
-    """Index j of the adjacent score pair (j, j+1) with the best LDA CV accuracy."""
-    best_j, best_acc = 0, -1.0
+def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tuple[int, float] | None:
+    """(j, accuracy) of the adjacent score pair (j, j+1) with the best LDA CV accuracy; None when LDA fits no fold of any pair."""
+    best = None
     folds = stratified_kfold(labels, seed=seed)
     for j in range(scores.shape[1] - 1):
         pair = scores[:, j : j + 2]
@@ -444,10 +431,10 @@ def _best_adjacent_pair(scores: np.ndarray, labels: np.ndarray, seed: int) -> tu
                 accs.append(float(np.mean(pred == labels[te])))
             except ValueError:
                 continue
-        acc = float(np.mean(accs)) if accs else -1.0
-        if acc > best_acc:
-            best_j, best_acc = j, acc
-    return best_j, best_acc
+        acc = float(np.mean(accs)) if accs else None
+        if acc is not None and (best is None or acc > best[1]):
+            best = j, acc
+    return best
 
 
 def _write_scatter_svg(path: Path, pair: np.ndarray, labels: np.ndarray, title: str) -> None:
@@ -472,8 +459,11 @@ def _write_scatter_svg(path: Path, pair: np.ndarray, labels: np.ndarray, title: 
         py = height - margin - (yi - spans[1][0]) / spans[1][1] * (height - 2 * margin)
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{colors[lbl]}" fill-opacity="0.8"/>')
     for i, c in enumerate(classes):
+        # The label as XML character data, escaped as xml.sax.saxutils.escape does; importing that
+        # module (or html) would keep 7 MB (or 0.4 MB) more resident in every run for three replacements.
+        text = str(c).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<circle cx="{width - margin - 100}" cy="{margin + 18 * i}" r="4" fill="{colors[c]}"/>')
-        parts.append(f'<text x="{width - margin - 90}" y="{margin + 18 * i + 4}">{c}</text>')
+        parts.append(f'<text x="{width - margin - 90}" y="{margin + 18 * i + 4}">{text}</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
 
@@ -505,26 +495,19 @@ def cmd_classify(args) -> int:
 
     rows, summary, warnings = [], [], []
     for key, report in results.items():
-        if isinstance(report, Exception):
-            continue
         name = "/".join(key)
         if report.unconverged_folds:
             warnings.append(f"{name}: {report.unconverged_folds} of {N_FOLDS} fold fits did not converge")
         if report.unconverged_karcher_folds:
             count = report.unconverged_karcher_folds
-            warnings.append(f"{name}: Karcher mean stopped at max_iter without converging in {count} of {N_FOLDS} fold fits")
+            warnings.append(f"{name}: Karcher mean stopped without converging in {count} of {N_FOLDS} fold fits")
     for pid in pipelines:
         for clf in classifiers:
-            accs = []
-            for rep_name, _ in replicates:
-                report = results[(rep_name, pid, clf)]
-                if isinstance(report, Exception):
-                    continue
-                for f, acc in enumerate(report.per_fold_accuracy):
-                    rows.append([rep_name, pid, clf, f, acc])
-                accs.append(report.mean_accuracy)
-            if accs:
-                accs = np.array(accs)
+            reports = [(rep_name, results[rep_name, pid, clf]) for rep_name, _ in replicates if (rep_name, pid, clf) in results]
+            for rep_name, report in reports:
+                rows += [[rep_name, pid, clf, f, acc] for f, acc in enumerate(report.per_fold_accuracy)]
+            if reports:
+                accs = np.array([report.mean_accuracy for _, report in reports])
                 summary.append([pid, clf, accs.mean(), accs.std(ddof=1) if accs.size > 1 else 0.0])
 
     outputs = []
@@ -537,30 +520,29 @@ def cmd_classify(args) -> int:
         rep_name, configs = replicates[0]
         labels = np.array([c.label for c in configs])
         for pid in pipelines:
+            name = f"{rep_name}/{pid}/svg"
             try:
-                output = run_pipeline(pid, configs, settings)
+                fitted = run_pipeline(pid, configs, settings)
             except ValueError as exc:
-                warnings.append(f"{rep_name}/{pid}/svg: {exc}")
+                warnings.append(f"{name}: {exc}")
                 continue
-            karcher = output.karcher
-            if karcher is not None and not karcher.converged:
-                warnings.append(f"{rep_name}/{pid}/svg: Karcher mean stopped at {karcher.iterations} iterations without converging")
-            if output.k95 < 2:
-                warnings.append(f"{rep_name}/{pid}/svg: k95 = {output.k95}; a component pair needs at least 2 components")
+            warnings += _karcher_warning(name, fitted.karcher)
+            if fitted.k95 < 2:
+                warnings.append(f"{name}: k95 = {fitted.k95}; a component pair needs at least 2 components")
                 continue
-            j, acc = _best_adjacent_pair(output.scores, labels, seed)
-            pair = output.scores[:, j : j + 2]
+            best = _best_adjacent_pair(fitted.scores, labels, seed)
+            if best is None:
+                warnings.append(f"{name}: LDA fits no fold of any adjacent component pair")
+                continue
+            j, acc = best
+            pair = fitted.scores[:, j : j + 2]
             write_csv(
                 out / f"pc_pairs_{pid}.csv",
                 ["specimen_id", "label", f"score_{j+1}", f"score_{j+2}"],
                 [[c.specimen_id, c.label, pair[i, 0], pair[i, 1]] for i, c in enumerate(configs)],
             )
-            _write_scatter_svg(
-                out / f"pc_pairs_{pid}.svg",
-                pair,
-                labels,
-                f"{pid}: components {j + 1} vs {j + 2} (LDA CV {acc:.3f})",
-            )
+            title = f"{pid}: components {j + 1} vs {j + 2} (LDA CV {acc:.3f})"
+            _write_scatter_svg(out / f"pc_pairs_{pid}.svg", pair, labels, title)
             outputs += [f"pc_pairs_{pid}.csv", f"pc_pairs_{pid}.svg"]
 
     return _finish(out, "classify", values, outputs, failures, warnings, bool(rows), "all classification tasks failed",
@@ -588,12 +570,7 @@ def cmd_report(args) -> int:
             continue
         lines.append("")
         lines.append(table)
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-        for row in rows:
+        for _, row in _csv_rows(path):
             pretty = []
             for cell in row:
                 try:

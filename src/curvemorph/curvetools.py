@@ -6,10 +6,12 @@ import numpy as np
 
 
 class DegenerateCurveError(ValueError):
-    """Curves of zero length in a stack; ``rows`` holds their indices."""
+    """Curves of zero length in a stack; ``rows`` holds their indices and ``fault`` names what is wrong with them."""
+
+    fault = "degenerate curve"
 
     def __init__(self, rows: list[int]):
-        super().__init__("degenerate curve: row " + ", ".join(map(str, rows)))
+        super().__init__(f"{self.fault}: row " + ", ".join(map(str, rows)))
         self.rows = rows
 
 

@@ -52,10 +52,12 @@ class ProcrustesResult:
 
 
 class ZeroCentroidSizeError(ValueError):
-    """Configurations of zero centroid size in a stack; ``rows`` holds their indices."""
+    """Configurations of zero centroid size in a stack; ``rows`` holds their indices and ``fault`` names what is wrong with them."""
+
+    fault = "zero centroid size"
 
     def __init__(self, rows: list[int]):
-        super().__init__("zero centroid size: row " + ", ".join(map(str, rows)))
+        super().__init__(f"{self.fault}: row " + ", ".join(map(str, rows)))
         self.rows = rows
 
 

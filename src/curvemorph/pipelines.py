@@ -133,11 +133,7 @@ def _preprocess(configs: list[LandmarkConfiguration], settings: PipelineSettings
         missed = list(misses.values())
         stack = np.stack([c.points for c in missed])
         if arc:
-            try:
-                stack = reparameterise_arclength(stack, settings.n_points)
-            except DegenerateCurveError as exc:
-                ids = ", ".join(missed[row].specimen_id for row in exc.rows)
-                raise ValueError(f"degenerate curve: specimen {ids}") from exc
+            stack = _naming_specimens(reparameterise_arclength, missed, stack, settings.n_points)
         else:
             stack = resample_uniform(stack, settings.n_points)
         stack.flags.writeable = False
@@ -272,13 +268,13 @@ class FittedPipeline:
         return superimpose(recon, self.targets)
 
 
-def _naming_specimens(procrustes, configs: list[LandmarkConfiguration], points: np.ndarray, *args):
-    """``procrustes(points, *args)`` on the specimens' (n, N, 3) points; a zero-size configuration is named by its specimen."""
+def _naming_specimens(step, configs: list[LandmarkConfiguration], points: np.ndarray, *args):
+    """``step(points, *args)`` on the specimens' (n, N, 3) points; a zero-length curve or zero-size configuration is named by its specimen."""
     try:
-        return procrustes(points, *args)
-    except ZeroCentroidSizeError as exc:
+        return step(points, *args)
+    except (DegenerateCurveError, ZeroCentroidSizeError) as exc:
         ids = ", ".join(configs[row].specimen_id for row in exc.rows)
-        raise ValueError(f"zero centroid size: specimen {ids}") from exc
+        raise ValueError(f"{exc.fault}: specimen {ids}") from exc
 
 
 def _fit(pipeline_id: str, chain: Chain, configs: list[LandmarkConfiguration], settings: PipelineSettings) -> FittedPipeline:

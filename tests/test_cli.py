@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -78,6 +80,17 @@ class TestLandmarkCsv:
         )
         assert main(["run", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"{bad}:3: specimen s0: label 'G2' differs from 'G1'" in capsys.readouterr().err
+
+    def test_a_bad_row_is_reported_before_an_undecodable_byte_further_on(self, tmp_path):
+        """The file is read as it streams, so the first fault in reading order is the one reported."""
+        bad = tmp_path / "bad.csv"
+        rows = "".join(f"s{i},g,0,0,0,0\n" for i in range(10_000))  # far beyond one decoding chunk
+        bad.write_bytes(f"{','.join(LANDMARK_HEADER)}\ns0,g,0,0,0,0\ns0,g,one,1,1,1\n{rows}".encode() + b"\xff\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(bad))}:3: invalid literal for int"):
+            read_landmark_csv(bad)
+        bad.write_bytes(bad.read_bytes().replace(b"one", b"1"))
+        with pytest.raises(InputError, match=f"^cannot read {re.escape(str(bad))}: 'utf-8' codec"):
+            read_landmark_csv(bad)
 
 
 class TestExitTail:
@@ -597,6 +610,31 @@ class TestClassify:
         assert main(["report", "--out", str(out)]) == 0
         assert "\nwarnings:\n  " + "\n  ".join(warnings) + "\n" in capsys.readouterr().out
 
+    def test_svg_legend_escapes_labels(self, tmp_path):
+        labels = ["R&D", "a<b", "c>d", "G4"]
+        configs = [LandmarkConfiguration(c.specimen_id, c.points, labels[i // 5])
+                   for i, c in enumerate(small_dataset(seed=4, sizes=(5, 5, 5, 5), n_points=15))]
+        write_dataset(tmp_path / "d.csv", configs)
+        out = tmp_path / "o"
+        args = ["classify", "--data", str(tmp_path / "d.csv"), "--out", str(out), "--n-points", "15",
+                "--pipelines", "GM", "--classifiers", "lda", "--svg"]
+        assert main(args) == 0
+        texts = [node.text for node in ElementTree.parse(out / "pc_pairs_GM.svg").iter("{http://www.w3.org/2000/svg}text")]
+        assert sorted(texts[1:]) == sorted(labels)
+
+    def test_svg_is_skipped_when_lda_fits_no_fold(self, tmp_path, capsys):
+        # Three classes of 2 specimens: every LDA training fold holds a class of one specimen.
+        data = tmp_path / "d.csv"
+        write_dataset(data, small_dataset(seed=4, sizes=(2, 2, 2, 1), n_points=12)[:6])
+        out = tmp_path / "o"
+        args = ["classify", "--data", str(data), "--out", str(out), "--n-points", "12",
+                "--pipelines", "GM,FDM", "--classifiers", "svm", "--svg"]
+        assert main(args) == 0
+        warnings = [f"d/{pid}/svg: LDA fits no fold of any adjacent component pair" for pid in ("GM", "FDM")]
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == warnings
+        assert "warnings:\n  " + "\n  ".join(warnings) in capsys.readouterr().err
+        assert not list(out.glob("pc_pairs_*"))
+
     def test_svg_survives_a_failed_first_task(self, tmp_path):
         # LDA fails on the 2-specimen class; the SVGs need only a refit per pipeline.
         data = tmp_path / "d.csv"
@@ -649,7 +687,7 @@ class TestClassify:
         out = tmp_path / "capped"
         assert main(args + ["--out", str(out)]) == 0
         warnings = [
-            "d/SoftSrvFdm/multinomial: Karcher mean stopped at max_iter without converging in 5 of 5 fold fits",
+            "d/SoftSrvFdm/multinomial: Karcher mean stopped without converging in 5 of 5 fold fits",
             "d/SoftSrvFdm/svg: Karcher mean stopped at 2 iterations without converging",
         ]
         assert json.loads((out / "manifest.json").read_text())["warnings"] == warnings
@@ -749,6 +787,12 @@ class TestConfigFile:
         (tmp_path / "manifest.json").write_text('{"command": "run", "failures": ["rep/GM: singular", 7]}\n')
         assert main(["report", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.endswith("failures:\n  rep/GM: singular\n  7\n")
+
+    def test_report_of_an_empty_table_prints_its_name(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"command": "run", "seed": 0}\n')
+        (tmp_path / "mse.csv").write_bytes(b"")
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"curvemorph results in {tmp_path}\ncommand: run\nseed: 0\n\nmse.csv\n"
 
     def test_report_prints_tables(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
