@@ -66,17 +66,21 @@ def write_landmark_csv(path: Path, configs: list[LandmarkConfiguration]) -> None
 def _csv_rows(path: Path, header: list[str] | None = None):
     """(line number, row) of each non-blank row of a CSV file, read as it streams.
 
-    A given ``header`` must be the first row and is not yielded.  A header
-    mismatch, or a file that cannot be opened or decoded, is an ``InputError``.
+    The line number is the physical line the row starts on, so a quoted
+    field that spans lines moves the rows after it.  A given ``header`` must
+    be the first row and is not yielded.  A header mismatch, or a file that
+    cannot be opened or decoded, is an ``InputError``.
     """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             if header is not None and next(reader, None) != header:
                 raise InputError(f"{path}: expected header {','.join(header)}")
-            for lineno, row in enumerate(reader, start=1 if header is None else 2):
+            start = reader.line_num + 1
+            for row in reader:
                 if row:
-                    yield lineno, row
+                    yield start, row
+                start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

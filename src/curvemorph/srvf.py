@@ -434,7 +434,12 @@ def karcher_mean(
     The template is only defined up to a common reparameterisation; the
     result fixes that gauge by composing everything with the inverse of the
     mean warp, so the warps average to the identity.  ``lam`` must be >= 0
-    and ``alpha`` lie in [0, 1].
+    and ``alpha`` lie in [0, 1]; both are checked before any warp search.
+
+    The result is computed once per process for each input: a call with the
+    same SRVF values, grid, ``lam``, ``alpha``, iteration cap and tolerance
+    returns the same ``KarcherResult`` object.  Its arrays are read-only,
+    because every caller shares it.
     """
     if len(qs) < 2:
         raise ValueError("karcher_mean needs at least 2 curves")
@@ -447,13 +452,30 @@ def karcher_mean(
     if any(not np.array_equal(q.params, t) for q in qs):
         raise ValueError("SRVFs must share a grid")
     originals = np.stack([q.q for q in qs])  # (K, M, 3)
+    return _karcher_loop(originals.tobytes(), originals.shape, t.tobytes(), lam, alpha, _KARCHER_MAX_ITER, _KARCHER_REL_TOL)
+
+
+# Eight entries: ``classify`` runs a pipeline's classifier tasks one after the
+# other, and each refits the same five folds, so a fold's registration is
+# asked for again five registrations after the last time.
+@functools.lru_cache(maxsize=8)
+def _karcher_loop(
+    stack: bytes, shape: tuple[int, ...], grid: bytes, lam: float, alpha: float, max_iter: int, rel_tol: float
+) -> KarcherResult:
+    """The Karcher iteration of ``karcher_mean`` on the (K, M, 3) SRVF values whose bytes are ``stack``.
+
+    The grid, the iteration cap and the tolerance are arguments, so they key
+    the cache with the values; the result's arrays are set read-only.
+    """
+    originals = np.frombuffer(stack).reshape(shape)
+    t = np.frombuffer(grid)
 
     template = SrvfCurve(t.copy(), np.mean(originals, axis=0))
     variance_history: list[float] = []
     current_warps = np.broadcast_to(uniform_params(t.shape[0]), originals.shape[:2])  # identity warps
     converged = False
-    for iterations in range(1, _KARCHER_MAX_ITER + 1):
-        aligned, warps, rotations = np.empty_like(originals), np.empty(originals.shape[:2]), np.empty((len(qs), 3, 3))
+    for iterations in range(1, max_iter + 1):
+        aligned, warps, rotations = np.empty_like(originals), np.empty(originals.shape[:2]), np.empty((len(originals), 3, 3))
         for k, q in enumerate(originals):
             _, aligned[k], warps[k], rotations[k] = align_step(q, template, current_warps[k], lam, alpha)
         mean_q = np.mean(aligned, axis=0)
@@ -466,7 +488,7 @@ def karcher_mean(
         current_warps = warps
         template = SrvfCurve(t.copy(), mean_q)
         state = (aligned, warps, rotations)
-        if iterations >= 2 and variance_history[-2] - variance <= _KARCHER_REL_TOL * variance:
+        if iterations >= 2 and variance_history[-2] - variance <= rel_tol * variance:
             converged = True
             break
     aligned, warps, rotations = state
@@ -479,4 +501,6 @@ def karcher_mean(
         aligned = np.stack([_warp_values(t, a, correction, root) for a in aligned])
         template = SrvfCurve(t.copy(), np.mean(aligned, axis=0))
     aligned = [SrvfCurve(t.copy(), a) for a in aligned]
+    for array in (template.params, template.q, warps, rotations, *(a for c in aligned for a in (c.params, c.q))):
+        array.flags.writeable = False
     return KarcherResult(template, aligned, warps, rotations, iterations, converged, variance_history)

@@ -22,7 +22,7 @@ from curvemorph.classify import (
     svm_predict,
 )
 from curvemorph.landmarks import LandmarkConfiguration
-from curvemorph.pipelines import fit_pipeline
+from curvemorph.pipelines import fit_pipeline, run_pipeline
 from curvemorph.simgen import SimConfig, generate_replicate
 from oracles import multinomial_fit_ascent, svm_binary_sweep
 
@@ -500,6 +500,24 @@ class TestCrossValidate:
         message = "^label 'B' has 1 specimen, label 'C' has 1 specimen; cross validation needs at least 2 specimens per class$"
         with pytest.raises(ValueError, match=message):
             cross_validate(configs, "GM", "svm")
+
+
+class TestKarcherReuse:
+    """Fold refits of one dataset share their Karcher registrations through ``srvf.karcher_mean``'s memo."""
+
+    def test_every_classifier_reuses_the_fold_registrations(self):
+        configs = simulated_configs(sizes=(4, 4, 4, 4), n_points=15)
+        srvf._karcher_loop.cache_clear()
+        for clf in CLASSIFIER_NAMES:
+            cross_validate(configs, "SoftSrvFdm", clf)
+        assert srvf._karcher_loop.cache_info().misses == classify.N_FOLDS
+
+    def test_soft_and_elastic_fits_of_one_replicate_are_told_apart(self):
+        configs = simulated_configs(sizes=(4, 4, 4, 4), n_points=15)
+        srvf._karcher_loop.cache_clear()
+        soft, elastic = run_pipeline("SoftSrvFdm", configs), run_pipeline("ElasticSrvFdm", configs)
+        assert srvf._karcher_loop.cache_info().misses == 2
+        assert soft.karcher is not elastic.karcher
 
 
 class TestPredictionInvariances:

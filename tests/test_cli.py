@@ -92,6 +92,20 @@ class TestLandmarkCsv:
         with pytest.raises(InputError, match=f"^cannot read {re.escape(str(bad))}: 'utf-8' codec"):
             read_landmark_csv(bad)
 
+    def test_a_bad_row_is_reported_at_the_line_it_starts_on(self, tmp_path):
+        """Each row's quoted label spans two lines, so the third row starts on line 6, not record 4."""
+        bad = tmp_path / "bad.csv"
+        rows = [f's0,"a\nb",{i},0,0,0\n' for i in ("0", "1", "x")]
+        bad.write_text(",".join(LANDMARK_HEADER) + "\n" + "".join(rows))
+        with pytest.raises(InputError, match=f"^{re.escape(str(bad))}:6: invalid literal for int"):
+            read_landmark_csv(bad)
+
+    def test_a_labels_row_is_reported_at_its_line_after_blank_and_spanning_rows(self, tmp_path):
+        bad = tmp_path / "labels.csv"
+        bad.write_text('specimen_id,label\n\ns0,"a\nb"\n\ns1,g,extra\n')
+        with pytest.raises(InputError, match=f"^{re.escape(str(bad))}:6: expected 2 fields$"):
+            read_labels_csv(bad)
+
 
 class TestExitTail:
     """Both commands end alike: exit 3 when every task failed, 4 when some output was written."""

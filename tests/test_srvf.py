@@ -694,6 +694,78 @@ class TestKarcherMean:
         assert len(result.variance_history) == max_iter
 
 
+def karcher_arrays(result: KarcherResult) -> list[np.ndarray]:
+    return [result.template.params, result.template.q, result.warps, result.rotations,
+            *(a for c in result.aligned for a in (c.params, c.q))]
+
+
+class TestKarcherMemo:
+    """``karcher_mean`` computes each input once per process and shares the read-only result."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        srvf._karcher_loop.cache_clear()
+
+    @staticmethod
+    def curves(m: int = 20) -> list[SrvfCurve]:
+        return [smooth_random_q(m, seed=200 + i) for i in range(3)]
+
+    def test_a_repeated_call_returns_the_same_result_bitwise_a_fresh_one(self):
+        qs = self.curves()
+        first = karcher_mean(qs, lam=0.01, alpha=0.6)
+        copies = [SrvfCurve(q.params.copy(), q.q.copy()) for q in qs]
+        assert karcher_mean(copies, lam=0.01, alpha=0.6) is first
+        srvf._karcher_loop.cache_clear()
+        fresh = karcher_mean(qs, lam=0.01, alpha=0.6)
+        assert fresh is not first
+        assert (fresh.iterations, fresh.converged, len(fresh.aligned)) == (first.iterations, first.converged, len(first.aligned))
+        assert bitwise_equal(fresh.variance_history, first.variance_history)
+        assert all(bitwise_equal(a, b) for a, b in zip(karcher_arrays(fresh), karcher_arrays(first)))
+
+    @pytest.mark.parametrize("change", ["lam", "alpha", "value", "grid", "max_iter"])
+    def test_changing_one_input_misses(self, change, monkeypatch):
+        qs, lam, alpha = self.curves(), 0.01, 0.6
+        base = karcher_mean(qs, lam=lam, alpha=alpha)
+        if change == "lam":
+            lam = 0.02
+        elif change == "alpha":
+            alpha = 0.7
+        elif change == "value":
+            q = qs[1].q.copy()
+            q[4, 2] = np.nextafter(q[4, 2], np.inf)
+            qs[1] = SrvfCurve(qs[1].params, q)
+        elif change == "grid":
+            qs = self.curves(m=21)
+        else:
+            monkeypatch.setattr(srvf, "_KARCHER_MAX_ITER", 2)
+        assert karcher_mean(qs, lam=lam, alpha=alpha) is not base
+        assert srvf._karcher_loop.cache_info().misses == 2
+
+    def test_the_shared_arrays_reject_writes(self):
+        for array in karcher_arrays(karcher_mean(self.curves())):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [("one curve", "needs at least 2 curves"), ("lam", "lam must be >= 0"),
+         ("alpha", r"alpha must lie in \[0, 1\]"), ("grid", "SRVFs must share a grid")],
+    )
+    def test_input_checks_run_before_the_lookup(self, case, message):
+        qs = self.curves()
+        karcher_mean(qs, lam=0.01, alpha=0.6)
+        before = srvf._karcher_loop.cache_info()
+        lam, alpha = (-0.01 if case == "lam" else 0.01), (1.5 if case == "alpha" else 0.6)
+        if case == "one curve":
+            qs = qs[:1]
+        elif case == "grid":
+            qs = qs + [smooth_random_q(21, seed=9)]
+        with mock.patch.object(srvf, "estimate_warp", side_effect=AssertionError("a warp search ran")):
+            with pytest.raises(ValueError, match=message):
+                karcher_mean(qs, lam=lam, alpha=alpha)
+        assert srvf._karcher_loop.cache_info() == before
+
+
 def _karcher_mean_loop(
     qs: list[SrvfCurve],
     max_iter: int = 20,
